@@ -327,22 +327,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    params = ents.EntsParams(chunk_size=256, alpha=5, tau=0.5)
-    results = []
-    for n in sizes:
-        rng = np.random.default_rng([args.seed, n])
-        datas = [rng.integers(0, 256, size=4096).astype(np.uint8).tobytes() for _ in range(n)]
-        t0 = time.perf_counter()
-        for d in datas:
-            ents.entropy_profile(d, params)
-        results.append({"files": n, "profile_seconds": time.perf_counter() - t0})
-    _write_json(args.out, {"results": results}, args, [])
-    print(json.dumps(results))
-    return 0
-
-
 # -- parser ------------------------------------------------------------
 
 
@@ -455,12 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest-out")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("bench", help="time profile extraction at several scales")
-    p.add_argument("--sizes", default="100,200,400")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -470,9 +448,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    path = argv[i + 1]
-    with open(path, "r", encoding="utf-8") as fh:
+    if i + 1 == len(argv):
+        raise _UsageError("argument --config: expected one argument")
+    with open(argv[i + 1], "r", encoding="utf-8") as fh:
         values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError(f"{argv[i + 1]}: config must be a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in values.items()}
     for sub in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
         sub.set_defaults(**defaults)
@@ -493,7 +474,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --version / --help
         return 0 if exc.code in (0, None) else 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable or malformed --config file
         print(f"itect: config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -254,6 +254,10 @@ def is_hexdump_path(path: str | Path) -> bool:
 def load_sample(path: str | Path) -> bytes:
     """Read a sample, decoding hexdump-formatted files transparently."""
     if is_hexdump_path(path):
-        with open(path, "r", encoding="utf-8", errors="strict") as fh:
-            return hexdump_to_bytes(fh.read())
+        try:
+            return hexdump_to_bytes(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: hexdump is not UTF-8 text ({exc.reason})"
+            ) from None
     return read_file_bytes(path)

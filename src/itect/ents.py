@@ -85,15 +85,6 @@ class FeatureMatrix:
         if any(b <= a for a, b in zip(self.col_index, self.col_index[1:])):
             raise ValueError("col_index must be strictly increasing")
 
-    def select(self, col_index: Sequence[int]) -> "FeatureMatrix":
-        positions = [self.col_index.index(c) for c in col_index]
-        return FeatureMatrix(
-            rows=self.rows[:, positions],
-            col_index=list(col_index),
-            labels=self.labels,
-            digests=self.digests,
-        )
-
 
 def chunk_entropies(data: bytes, chunk_size: int) -> np.ndarray:
     """Shannon entropy (bits/byte) of each fixed-size chunk of ``data``.

@@ -94,7 +94,6 @@ class EvalReport:
     wall_time: float = 0.0
     roc: list[tuple[float, float]] | None = None
     per_category: dict[str, dict[str, float]] | None = None
-    external_engines: dict[str, dict[str, float]] | None = None
 
     @property
     def total(self) -> int:

@@ -10,6 +10,10 @@ discounting back-off smoothing) supports three classifiers:
 A suspect is flagged as malware only when all three agree; with
 several malware models each classifier is OR-ed across them first.
 
+All three score one sparse histogram of the suspect, built once per
+file: cross-entropy evaluates the smoothed model at its distinct codes,
+KLD and MSE read the zoo's masses from its top-order counts in place.
+
 Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
 not fit in desk memory; the reference configuration is n = 3).
@@ -20,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +34,21 @@ MAX_DENSE_ORDER = 3
 
 _MAGIC = b"SLMM"
 _FORMAT_VERSION = 1
+# One record per non-zero count: big-endian gram code, count.
+_RECORD = np.dtype([("g", ">u8"), ("c", "<u8")])
+
+
+def _count_dtype(k: int) -> type:
+    return np.int64 if 256**k <= 1 << 16 else np.int32
+
+
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DataError(
+            f"truncated model file: {what} needs {size} bytes, got {len(raw)}"
+        )
+    return raw
 
 
 @dataclass(frozen=True)
@@ -58,14 +77,6 @@ def encode_ngrams(data: bytes, n: int) -> np.ndarray:
     return codes
 
 
-def extract_ngrams(data: bytes, n: int) -> Iterator[bytes]:
-    """The overlapping byte n-grams of ``data``, in order."""
-    if len(data) < n:
-        raise DataError(f"input shorter than n-gram order ({len(data)} < {n})")
-    for i in range(len(data) - n + 1):
-        yield data[i : i + n]
-
-
 class NgramModel:
     """Smoothed conditional byte n-gram model of one zoo.
 
@@ -84,7 +95,7 @@ class NgramModel:
         self.smoothing = smoothing
         self.zoo_id = zoo_id
         self.counts: list[np.ndarray] = [
-            np.zeros(256**k, dtype=np.int64 if 256**k <= 1 << 16 else np.int32)
+            np.zeros(256**k, dtype=_count_dtype(k))
             for k in range(1, n + 1)
         ]
         self._finalized = False
@@ -221,14 +232,23 @@ class NgramModel:
         return float(np.log2(self._cond_probs_from_codes(codes)).sum())
 
     def histogram(self) -> "NgramHistogram":
-        """Unsmoothed relative frequencies of the zoo's top-order n-grams."""
+        """Unsmoothed relative frequencies of the zoo's top-order n-grams.
+
+        A view on ``counts[n-1]``, not a copy; support size and sum of
+        squared masses are taken once here from the non-zero counts.
+        """
         self._require_finalized()
         top = self.counts[self.n - 1]
-        total = int(top.sum())
+        seen = top[top != 0]
+        total = int(seen.sum(dtype=np.int64))
         if total == 0:
             raise DataError("model has no top-order counts")
         return NgramHistogram(
-            n=self.n, _dense=top / total, support_size=int(np.count_nonzero(top))
+            n=self.n,
+            support_size=len(seen),
+            _counts=top,
+            _total=total,
+            _sumsq=float(((seen / total) ** 2).sum()),
         )
 
     # -- serialization -----------------------------------------------
@@ -254,46 +274,70 @@ class NgramModel:
                 arr = self.counts[k - 1]
                 nz = np.flatnonzero(arr)
                 fh.write(struct.pack("<Q", len(nz)))
-                rec = np.zeros(len(nz), dtype=[("g", f">u8"), ("c", "<u8")])
+                rec = np.zeros(len(nz), dtype=_RECORD)
                 rec["g"] = nz.astype(np.uint64)
                 rec["c"] = arr[nz].astype(np.uint64)
                 fh.write(rec.tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
+        """Read a model file; a truncated or corrupt one raises DataError."""
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _MAGIC:
                 raise DataError(f"not a model file: bad magic {magic!r}")
-            version, n, zoo_len, d, eps = struct.unpack("<HBH d d", fh.read(21))
+            version, n, zoo_len, d, eps = struct.unpack(
+                "<HBH d d", _read_exact(fh, 21, "header")
+            )
             if version != _FORMAT_VERSION:
                 raise DataError(f"unsupported model version {version}")
-            zoo_id = fh.read(zoo_len).decode("utf-8")
-            model = cls(
-                n=n,
-                smoothing=SmoothingParams(discount=d, unseen_floor=eps),
-                zoo_id=zoo_id,
-            )
+            if not 1 <= n <= MAX_DENSE_ORDER:
+                raise DataError(f"model order {n} outside 1..{MAX_DENSE_ORDER}")
+            try:
+                smoothing = SmoothingParams(discount=d, unseen_floor=eps)
+            except ValueError as exc:
+                raise DataError(f"bad smoothing parameters: {exc}") from None
+            try:
+                zoo_id = _read_exact(fh, zoo_len, "zoo id").decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError("zoo id is not UTF-8") from None
+            records = []
             for k in range(1, n + 1):
-                (count,) = struct.unpack("<Q", fh.read(8))
-                raw = fh.read(count * 16)
-                rec = np.frombuffer(raw, dtype=[("g", ">u8"), ("c", "<u8")])
-                idx = rec["g"].astype(np.int64)
-                model.counts[k - 1][idx] = rec["c"].astype(
-                    model.counts[k - 1].dtype
+                (count,) = struct.unpack(
+                    "<Q", _read_exact(fh, 8, f"order-{k} record count")
                 )
-            return model.finalize()
+                if count > 256**k:
+                    raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
+                rec = np.frombuffer(
+                    _read_exact(fh, count * 16, f"order-{k} records"), dtype=_RECORD
+                )
+                if np.any(rec["g"] >= 256**k):
+                    raise DataError(f"order-{k} gram code out of range")
+                if np.any(rec["c"] > np.iinfo(_count_dtype(k)).max):
+                    raise DataError(f"order-{k} count overflows its counter")
+                records.append(rec)
+        model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id)
+        for counts, rec in zip(model.counts, records):
+            counts[rec["g"].astype(np.int64)] = rec["c"].astype(counts.dtype)
+        return model.finalize()
 
 
 @dataclass
 class NgramHistogram:
-    """Raw n-gram probability masses; dense for zoos, sparse for suspects."""
+    """Raw n-gram probability masses.
+
+    Suspects and pooled zoos are sparse: sorted ``keys`` with aligned
+    ``probs``. A zoo model's histogram (:meth:`NgramModel.histogram`) is
+    a count view instead: ``lookup(codes)`` is ``counts[codes] / total``
+    read from the model's top-order count array in place.
+    """
 
     n: int
     support_size: int
-    _dense: np.ndarray | None = None
     _keys: np.ndarray | None = None
     _probs: np.ndarray | None = None
+    _counts: np.ndarray | None = field(default=None, repr=False)
+    _total: int = 0
     _sumsq: float | None = field(default=None, repr=False)
 
     @classmethod
@@ -316,20 +360,20 @@ class NgramHistogram:
     @property
     def keys(self) -> np.ndarray:
         if self._keys is None:
-            self._keys = np.flatnonzero(self._dense)
+            self._keys = np.flatnonzero(self._counts)
         return self._keys
 
     @property
     def probs(self) -> np.ndarray:
         """Masses aligned with :attr:`keys`."""
         if self._probs is None:
-            self._probs = self._dense[self.keys]
+            self._probs = self._counts[self.keys] / self._total
         return self._probs
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Masses at the given codes; zero where absent."""
-        if self._dense is not None:
-            return self._dense[codes]
+        if self._counts is not None:
+            return self._counts[codes] / self._total
         pos = np.searchsorted(self._keys, codes)
         pos = np.clip(pos, 0, len(self._keys) - 1)
         hit = self._keys[pos] == codes
@@ -337,8 +381,7 @@ class NgramHistogram:
 
     def sum_of_squares(self) -> float:
         if self._sumsq is None:
-            src = self._dense if self._dense is not None else self._probs
-            self._sumsq = float((src**2).sum())
+            self._sumsq = float((self.probs**2).sum())
         return self._sumsq
 
     def as_dict(self) -> dict[bytes, float]:
@@ -359,10 +402,16 @@ def histogram(source: bytes | Sequence[bytes], n: int) -> NgramHistogram:
     )
 
 
-def cross_entropy(model: NgramModel, data: bytes) -> float:
-    """Bits per token the model needs to encode ``data``."""
-    tokens = len(data) - model.n + 1
-    return -model.sequence_logprob(data) / tokens
+def cross_entropy(model: NgramModel, p: NgramHistogram) -> float:
+    """Bits per token the model needs to encode a suspect.
+
+    ``p`` is the suspect's top-order histogram; the result,
+    -sum p * log2 q(p.keys), equals ``-sequence_logprob(data) / tokens``
+    but evaluates the model once per distinct n-gram, not per position.
+    """
+    if p.n != model.n:
+        raise DataError(f"histogram order {p.n} does not match model order {model.n}")
+    return float(-(p.probs * np.log2(model._cond_probs_from_codes(p.keys))).sum())
 
 
 def kld(p: NgramHistogram, q: NgramHistogram, eps: float = 1e-10) -> float:
@@ -399,29 +448,6 @@ class SlammVerdict:
             raise ValueError("overall must be the conjunction of the three flags")
 
 
-def classify_cx(data: bytes, q_malware: NgramModel, q_benign: NgramModel) -> bool:
-    """Malware iff the malware model encodes the suspect more cheaply."""
-    return cross_entropy(q_malware, data) < cross_entropy(q_benign, data)
-
-
-def classify_cd(
-    p_hist: NgramHistogram,
-    malware_hist: NgramHistogram,
-    benign_hist: NgramHistogram,
-) -> bool:
-    """Malware iff the suspect diverges less from the malware histogram."""
-    return kld(p_hist, malware_hist) < kld(p_hist, benign_hist)
-
-
-def classify_cmse(
-    p_hist: NgramHistogram,
-    malware_hist: NgramHistogram,
-    benign_hist: NgramHistogram,
-) -> bool:
-    """Malware iff the suspect is closer to the malware histogram in MSE."""
-    return mse(malware_hist, p_hist) < mse(benign_hist, p_hist)
-
-
 def slamm_classify(
     data: bytes,
     malware_models: Sequence[tuple[NgramModel, NgramHistogram]],
@@ -429,34 +455,29 @@ def slamm_classify(
 ) -> SlammVerdict:
     """Unanimous AND of the three classifiers, each OR-ed across zoos.
 
-    Ties resolve to benign: every comparison is a strict "<".
+    Every zoo is scored from one histogram of the suspect. Ties resolve
+    to benign: every comparison is a strict "<".
     """
     if not malware_models:
         raise DataError("need at least one malware model")
-    benign_model, benign_hist = benign
-    n = benign_model.n
-    p_hist = NgramHistogram.from_data(data, n)
+    p_hist = NgramHistogram.from_data(data, benign[0].n)
 
-    xb = cross_entropy(benign_model, data)
-    db = kld(p_hist, benign_hist)
-    mb = mse(benign_hist, p_hist)
+    def scores(model: NgramModel, hist: NgramHistogram) -> dict[str, float]:
+        return {
+            "cross_entropy": cross_entropy(model, p_hist),
+            "kld": kld(p_hist, hist),
+            "mse": mse(hist, p_hist),
+        }
 
-    diagnostics: dict[str, dict[str, float]] = {
-        "benign": {"cross_entropy": xb, "kld": db, "mse": mb}
-    }
+    base = scores(*benign)
+    diagnostics = {"benign": base}
     cx = cd = cmse = False
     for model, hist in malware_models:
-        xm = cross_entropy(model, data)
-        dm = kld(p_hist, hist)
-        mm = mse(hist, p_hist)
-        diagnostics[model.zoo_id or f"zoo{len(diagnostics)}"] = {
-            "cross_entropy": xm,
-            "kld": dm,
-            "mse": mm,
-        }
-        cx = cx or xm < xb
-        cd = cd or dm < db
-        cmse = cmse or mm < mb
+        zoo = scores(model, hist)
+        diagnostics[model.zoo_id or f"zoo{len(diagnostics)}"] = zoo
+        cx = cx or zoo["cross_entropy"] < base["cross_entropy"]
+        cd = cd or zoo["kld"] < base["kld"]
+        cmse = cmse or zoo["mse"] < base["mse"]
     return SlammVerdict(
         cx=cx, cd=cd, cmse=cmse, overall=cx and cd and cmse, diagnostics=diagnostics
     )

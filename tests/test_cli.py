@@ -69,6 +69,17 @@ class TestExitCodes:
                  "--manifest", "x", "--seed", "1")
         assert rc == 1
 
+    def test_config_without_value(self, capsys):
+        assert run("split", "--manifest", "x", "--seed", "1", "--config") == 1
+        assert "itect: usage error" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        rc = run("--config", str(cfg), "split", "--manifest", "x", "--seed", "1")
+        assert rc == 1
+        assert "itect: config error" in capsys.readouterr().err
+
 
 class TestConfigAndThreads:
     def test_config_supplies_defaults(self, workspace, tmp_path):
@@ -231,12 +242,39 @@ class TestPipelineCommands:
         )
         assert rc == 2
 
-    def test_bench(self, tmp_path):
-        out = tmp_path / "bench.json"
-        rc = run("bench", "--sizes", "5,10", "--out", str(out))
+    def _classify(self, trained, out, *files, benign=None):
+        mal = ",".join(
+            str(trained["models"][c])
+            for c in ("polymorphic", "metamorphic", "packed")
+        )
+        return run(
+            "classify", "--ents", str(trained["forest"]),
+            "--ents-params", str(trained["params"]),
+            "--slamm", mal, "--benign", str(benign or trained["models"]["benign"]),
+            "--out", str(out), *files,
+        )
+
+    def test_classify_skips_non_utf8_hexdump(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        bad = tmp_path / "bad.bytes"
+        bad.write_bytes(b"00000000 4D 5A\n\xff\xfe 90\n")
+        verdicts = tmp_path / "verdicts.jsonl"
+        rc = self._classify(trained, verdicts, str(bad), good)
         assert rc == 0
-        results = json.loads(out.read_text())["results"]
-        assert [r["files"] for r in results] == [5, 10]
+        assert len(verdicts.read_text().splitlines()) == 1
+        assert f"diagnostic: {bad}" in capsys.readouterr().err
+
+    def test_classify_truncated_model_is_data_error(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        cut = tmp_path / "cut.slmm"
+        cut.write_bytes(trained["models"]["benign"].read_bytes()[:-5])
+        rc = self._classify(trained, tmp_path / "v.jsonl", good, benign=cut)
+        assert rc == 2
+        assert "itect: data error: truncated model file" in capsys.readouterr().err
 
 
 class TestIngest:

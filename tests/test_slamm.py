@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestEncodeNgrams:
 
     def test_matches_extract_ngrams(self):
         data = b"hello world"
-        grams = list(slamm.extract_ngrams(data, 3))
+        grams = [data[i : i + 3] for i in range(len(data) - 2)]
         codes = slamm.encode_ngrams(data, 3)
         assert [int.from_bytes(g, "big") for g in grams] == codes.tolist()
 
@@ -107,7 +108,9 @@ class TestSmoothing:
         model = uniform_unigram_model()
         data = np.random.default_rng(0).integers(0, 256, 1000)
         data = data.astype(np.uint8).tobytes()
-        assert slamm.cross_entropy(model, data) == pytest.approx(8.0, abs=1e-12)
+        assert slamm.cross_entropy(
+            model, slamm.histogram(data, model.n)
+        ) == pytest.approx(8.0, abs=1e-12)
 
     def test_conditional_distribution_normalizes(self):
         rng = np.random.default_rng(1)
@@ -133,10 +136,56 @@ class TestSmoothing:
                 brute_force_logprob(model, data), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cross_entropy_matches_sequence_logprob(self, n):
+        rng = np.random.default_rng(n)
+        docs = [rng.integers(0, 48, 3000).astype(np.uint8).tobytes() for _ in range(4)]
+        model = slamm.NgramModel.train(docs, n=n)
+        for data in (
+            rng.integers(0, 64, 2000).astype(np.uint8).tobytes(),
+            b"abcabcabd" * 20,
+            bytes(range(n)),
+        ):
+            ce = slamm.cross_entropy(model, slamm.histogram(data, n))
+            expect = -model.sequence_logprob(data) / (len(data) - n + 1)
+            assert ce == pytest.approx(expect, abs=1e-12)
+
+    def test_cross_entropy_order_mismatch(self):
+        model = slamm.NgramModel.train([b"abracadabra"], n=2)
+        with pytest.raises(DataError):
+            slamm.cross_entropy(model, slamm.histogram(b"abracadabra", 3))
+
     def test_unseen_floor(self):
         model = slamm.NgramModel.train([b"aaaa"], n=1)
         dist = model.conditional_distribution(b"")
         assert np.all(dist >= model.smoothing.unseen_floor)
+
+
+# Header of a bigram model with default smoothing and a 3-byte zoo id.
+_HEADER = b"SLMM" + struct.pack("<HBH d d", 1, 2, 3, 0.5, 1e-10)
+
+
+def _order_offset(raw, order):
+    """Offset of the record-count field of ``order`` in a model file."""
+    pos = len(_HEADER) + 3
+    for _ in range(order - 1):
+        (count,) = struct.unpack_from("<Q", raw, pos)
+        pos += 8 + 16 * count
+    return pos
+
+
+def _patch_record(raw, order, gram=None, count=None):
+    """Overwrite the gram code or the count of the first record of ``order``."""
+    pos = _order_offset(raw, order) + 8
+    field = struct.pack(">Q", gram) if count is None else struct.pack("<Q", count)
+    if count is not None:
+        pos += 8
+    return raw[:pos] + field + raw[pos + 8 :]
+
+
+def _patch_count(raw, order, count):
+    pos = _order_offset(raw, order)
+    return raw[:pos] + struct.pack("<Q", count) + raw[pos + 8 :]
 
 
 class TestSerialization:
@@ -153,14 +202,71 @@ class TestSerialization:
         for a, b in zip(model.counts, loaded.counts):
             np.testing.assert_array_equal(a, b)
         data = b"cabana"
-        assert slamm.cross_entropy(loaded, data) == pytest.approx(
-            slamm.cross_entropy(model, data), abs=1e-12
+        assert slamm.cross_entropy(
+            loaded, slamm.histogram(data, model.n)
+        ) == pytest.approx(
+            slamm.cross_entropy(model, slamm.histogram(data, model.n)), abs=1e-12
         )
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(DataError, match="magic"):
+            slamm.NgramModel.load(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            pytest.param(lambda b: b[:-5], "truncated", id="last-5-bytes-cut"),
+            pytest.param(lambda b: b[:10], "header", id="short-header"),
+            pytest.param(lambda b: b[: len(_HEADER) + 2], "zoo id", id="short-zoo-id"),
+            pytest.param(
+                lambda b: b[: len(_HEADER) + 3 + 4], "record count", id="short-count"
+            ),
+            pytest.param(
+                lambda b: b[:4] + struct.pack("<HB", 1, 0) + b[7:],
+                "order 0",
+                id="order-0",
+            ),
+            pytest.param(
+                lambda b: b[:4] + struct.pack("<HB", 1, 4) + b[7:],
+                "order 4",
+                id="order-4",
+            ),
+            pytest.param(
+                lambda b: b[:4] + struct.pack("<HBHd", 1, 2, 3, 2.0) + b[17:],
+                "smoothing",
+                id="discount-out-of-range",
+            ),
+            pytest.param(
+                lambda b: b[: len(_HEADER)] + b"\xff\xfeq" + b[len(_HEADER) + 3 :],
+                "UTF-8",
+                id="zoo-id-not-utf8",
+            ),
+            pytest.param(
+                lambda b: _patch_record(b, order=2, gram=256**2),
+                "out of range",
+                id="gram-code-too-large",
+            ),
+            pytest.param(
+                lambda b: _patch_record(b, order=1, count=1 << 63),
+                "overflows",
+                id="count-overflows-counter",
+            ),
+            pytest.param(
+                lambda b: _patch_count(b, order=1, count=1 << 62),
+                "exceeds",
+                id="record-count-too-large",
+            ),
+        ],
+    )
+    def test_corrupt_file_is_data_error(self, tmp_path, corrupt, match):
+        path = tmp_path / "m.slmm"
+        slamm.NgramModel.train([b"abracadabra"], n=2, zoo_id="zoo").save(path)
+        raw = path.read_bytes()
+        assert raw.startswith(_HEADER + b"zoo")
+        path.write_bytes(corrupt(raw))
+        with pytest.raises(DataError, match=match):
             slamm.NgramModel.load(path)
 
 
@@ -184,6 +290,21 @@ class TestHistogram:
         model = slamm.NgramModel.train(docs, n=2)
         raw = slamm.histogram(docs, 2)
         assert model.histogram().as_dict() == pytest.approx(raw.as_dict())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_count_view_scores_like_pooled(self, n):
+        # The model's count view gives the same KLD and MSE as the pooled
+        # sparse histogram of the same documents.
+        rng = np.random.default_rng(10 + n)
+        docs = [b"abracadabra", b"banana"]
+        docs += [rng.integers(0, 32, 1500).astype(np.uint8).tobytes() for _ in range(3)]
+        view = slamm.NgramModel.train(docs, n=n).histogram()
+        raw = slamm.histogram(docs, n)
+        assert view.support_size == raw.support_size
+        for suspect in (docs[0], rng.integers(0, 40, 800).astype(np.uint8).tobytes()):
+            p = slamm.histogram(suspect, n)
+            assert slamm.kld(p, view) == pytest.approx(slamm.kld(p, raw), abs=1e-12)
+            assert slamm.mse(view, p) == pytest.approx(slamm.mse(raw, p), abs=1e-12)
 
     def test_lookup_misses_are_zero(self):
         h = slamm.histogram(b"abab", 2)
