@@ -22,13 +22,29 @@ from . import __version__, baselines, corpus, ents, forest as forest_mod, pipeli
 from .errors import DataError, ItectError
 
 
+def _thread_arg(value: str) -> str:
+    """Check a ``--threads`` or ``ITECT_THREADS`` value: a positive integer
+    or 'auto'. The text is kept as given, so provenance records it as is."""
+    try:
+        valid = value == "auto" or int(value) > 0
+    except ValueError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or 'auto', got {value!r}"
+        )
+    return value
+
+
 def _threads(value: str | int | None) -> int:
     if value in (None, "auto"):
-        env = os.environ.get("ITECT_THREADS", "auto")
-        if env != "auto":
-            return max(1, int(env))
+        try:
+            value = _thread_arg(os.environ.get("ITECT_THREADS", "auto"))
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"ITECT_THREADS: {exc}") from None
+    if value == "auto":
         return os.cpu_count() or 1
-    return max(1, int(value))
+    return int(value)
 
 
 def _pool_map(fn, items, threads: int):
@@ -194,10 +210,21 @@ def _load_slamm_models(model_paths: str, benign_path: str):
     return malware, (b, b.histogram())
 
 
+def _readable_samples(paths: list[str]):
+    """(path, bytes) per sample; one that cannot be read or decoded gets a
+    ``diagnostic:`` line and is skipped."""
+    for path in paths:
+        try:
+            data = corpus.load_sample(path)
+        except (OSError, DataError) as exc:
+            print(f"diagnostic: {path}: {exc}", file=sys.stderr)
+            continue
+        yield path, data
+
+
 def _cmd_slamm_classify(args) -> int:
     malware, benign = _load_slamm_models(args.models, args.benign)
-    for path in args.files:
-        data = corpus.load_sample(path)
+    for path, data in _readable_samples(args.files):
         v = slamm.slamm_classify(data, malware, benign)
         print(
             json.dumps(
@@ -256,12 +283,7 @@ def _cmd_classify(args) -> int:
     malware, benign = _load_slamm_models(args.slamm, args.benign)
     t0 = time.perf_counter()
     lines = []
-    for path in args.files:
-        try:
-            data = corpus.load_sample(path)
-        except (OSError, DataError) as exc:
-            print(f"diagnostic: {path}: {exc}", file=sys.stderr)
-            continue
+    for _, data in _readable_samples(args.files):
         digest = hashlib.sha256(data).hexdigest()
         v = pipeline.itect_classify(data, digest, trained, params, malware, benign)
         lines.append(v.to_json())
@@ -331,6 +353,25 @@ def _cmd_synth(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises :class:`_UsageError` instead of exiting, and records its
+    subcommands and the flag of every option that takes a value."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, str] = {}
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.nargs != 0:
+            self.flags[action.dest] = action.option_strings[-1]
+        return action
+
+    def add_subparsers(self, **kwargs):
+        action = super().add_subparsers(**kwargs)
+        self.commands = action.choices
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
@@ -340,11 +381,13 @@ class _UsageError(Exception):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="itect", description=__doc__)
     parser.add_argument("--version", action="version", version=f"itect {__version__}")
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--threads", default=None, help="worker pool size or 'auto'")
+    parser.add_argument(
+        "--threads", type=_thread_arg, help="worker pool size or 'auto'"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="scan a directory into a manifest")
@@ -442,33 +485,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    # Pull --config early so its values become parser defaults; explicit
-    # flags still win because argparse reads them after defaults.
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise _UsageError("argument --config: expected one argument")
-    with open(argv[i + 1], "r", encoding="utf-8") as fh:
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, replaying ``--config`` values as flags.
+
+    A first pass takes ``--config`` out. Each config key that names a
+    flag of the top-level parser or of the chosen subcommand is then
+    placed ahead of the user's own flags, so it goes through the flag's
+    type and choices and an explicit flag still wins. Keys no flag of
+    this command takes are ignored.
+    """
+    pre = _Parser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
+        return parser.parse_args(argv, known)
+    with open(known.config, "r", encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
-        raise ValueError(f"{argv[i + 1]}: config must be a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in values.items()}
-    for sub in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        sub.set_defaults(**defaults)
-        for action in sub._actions:
-            if action.dest in defaults:
-                action.required = False
-    return argv
+        raise ValueError(f"{known.config}: config must be a JSON object")
+
+    def as_flags(p: _Parser) -> list[str]:
+        out = []
+        for key, value in values.items():
+            flag = p.flags.get(key.replace("-", "_"))
+            if flag:
+                text = value if isinstance(value, str) else json.dumps(value)
+                out.append(f"{flag}={text}")
+        return out
+
+    commands = parser.commands
+    i = next((i for i, a in enumerate(argv) if a in commands), len(argv))
+    command = as_flags(commands[argv[i]]) if i < len(argv) else []
+    argv = as_flags(parser) + argv[: i + 1] + command + argv[i + 1 :]
+    return parser.parse_args(argv, known)
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
+        _threads(args.threads)  # a bad ITECT_THREADS fails here, before any work
     except _UsageError as exc:
         print(f"itect: usage error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -24,6 +25,9 @@ SPLITS = ("train", "validation", "test")
 SCHEMA_VERSION = 1
 
 _HEX_PAIRS = set("0123456789abcdefABCDEF")
+# A dump line in the common layout: hex offset, optional colon, then
+# space- or tab-separated byte pairs or "??".
+_PLAIN_LINE = re.compile(r"([0-9A-Fa-f]+):?((?:[ \t]+(?:[0-9A-Fa-f]{2}|\?\?))*)")
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,10 @@ def hexdump_to_bytes(text: str | Iterable[str]) -> bytes:
     """Decode "offset hex-pairs" dump lines into raw bytes.
 
     ``??`` pairs decode to 0x00. Offsets must equal the number of bytes
-    decoded so far (monotone, gap-free). Blank lines are ignored.
+    decoded so far (monotone, gap-free). Blank lines are ignored. Errors
+    name the line. A plain line (hex offset, optional ``:``, pairs
+    separated by spaces or tabs) is decoded in one ``bytes.fromhex``
+    call; any other line is parsed token by token.
     """
     if isinstance(text, str):
         lines = text.splitlines()
@@ -211,6 +218,10 @@ def hexdump_to_bytes(text: str | Iterable[str]) -> bytes:
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
+            continue
+        plain = _PLAIN_LINE.fullmatch(line)
+        if plain and int(plain[1], 16) == len(out):
+            out += bytes.fromhex(plain[2].replace("??", "00"))
             continue
         tokens = line.split()
         off_tok = tokens[0].rstrip(":")

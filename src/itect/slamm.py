@@ -81,7 +81,9 @@ class NgramModel:
     """Smoothed conditional byte n-gram model of one zoo.
 
     ``counts[k-1]`` is the dense count array for order k, indexed by
-    the k-gram's integer code. Immutable once finalized.
+    the k-gram's integer code. Immutable once finalized. Finalizing also
+    tabulates the smoothed q of order n-1 (256^(n-1) values), so scoring
+    smooths only the top order per code.
     """
 
     def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
@@ -145,8 +147,25 @@ class NgramModel:
             )
         self._total_tokens = int(self.counts[0].sum())
         self._distinct_unigrams = int(np.count_nonzero(self.counts[0]))
+        self._lower_q = self._lower_order_table()
         self._finalized = True
         return self
+
+    def _lower_order_table(self) -> np.ndarray:
+        """Smoothed q at every code of order n-1, the top order's back-off.
+
+        For n = 1 it is the uniform 1/256 the unigram backs off to. The
+        order-2 table is built over the (256, 256) context x byte view of
+        its counts, with the unigram q broadcast over contexts; n <= 3,
+        so no higher order is ever needed here.
+        """
+        q = np.full(1, 1.0 / 256.0)
+        if self.n >= 2:
+            q = self._discount_step(1, self.counts[0], 0, q)
+        if self.n == 3:
+            ctx = np.arange(256)[:, None]
+            q = self._discount_step(2, self.counts[1].reshape(256, 256), ctx, q).ravel()
+        return q
 
     @property
     def total_tokens(self) -> int:
@@ -190,30 +209,43 @@ class NgramModel:
             raise ValueError("gram length must be in 1..n")
         return int(self.counts[k - 1][int.from_bytes(gram, "big")])
 
-    def _cond_probs_from_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Smoothed q(w | history) for each full-order code in ``codes``.
+    def _discount_step(
+        self, k: int, counts: np.ndarray, ctx: np.ndarray, lower: np.ndarray
+    ) -> np.ndarray:
+        """q at order k from the k-gram ``counts``, their (k-1)-gram
+        contexts ``ctx`` and q of the order below at the same grams.
 
         Absolute discounting: subtract the discount from every seen
         count and hand the freed mass to the next-lower order; the base
         order backs off to uniform over the 256 byte values. Unseen
-        contexts skip straight to the lower order.
+        contexts skip straight to the lower order. Arrays broadcast.
         """
         d = self.smoothing.discount
-        c1 = self.counts[0]
-        t1 = max(self._total_tokens, 1)
-        w = codes & 0xFF
-        q = np.maximum(c1[w] - d, 0.0) / t1 + (
-            d * self._distinct_unigrams / t1
-        ) * (1.0 / 256.0)
-        for k in range(2, self.n + 1):
-            gk = codes & ((1 << (8 * k)) - 1)
-            ctx = gk >> 8
-            tk = self._ctx_total[k - 2][ctx]
-            seen = tk > 0
-            tk_safe = np.where(seen, tk, 1)
-            num = np.maximum(self.counts[k - 1][gk] - d, 0.0) / tk_safe
-            lam = d * self._ctx_distinct[k - 2][ctx] / tk_safe
-            q = np.where(seen, num + lam * q, q)
+        if k == 1:
+            t1 = max(self._total_tokens, 1)
+            q = np.maximum(counts - d, 0.0)
+            q /= t1
+            q += (d * self._distinct_unigrams / t1) * lower
+            return q
+        tk = self._ctx_total[k - 2][ctx]
+        seen = tk > 0
+        tk_safe = np.where(seen, tk, 1)
+        q = np.maximum(counts - d, 0.0)
+        q /= tk_safe
+        lam = d * self._ctx_distinct[k - 2][ctx]
+        lam /= tk_safe
+        q += lam * lower
+        return np.where(seen, q, lower)
+
+    def _cond_probs_from_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Smoothed q(w | history) for each full-order code in ``codes``.
+
+        The orders below the top come from the table built at
+        finalize; only the top-order discount step runs per code.
+        """
+        lower = self._lower_q[codes & (len(self._lower_q) - 1)]
+        top = self.counts[self.n - 1][codes]
+        q = self._discount_step(self.n, top, codes >> 8, lower)
         return np.maximum(q, self.smoothing.unseen_floor)
 
     def conditional_distribution(self, context: bytes) -> np.ndarray:

@@ -111,6 +111,50 @@ class TestConfigAndThreads:
             "--seed", "99", "--out", str(out2))
         assert out.read_text() == out2.read_text()
 
+    def test_config_equals_form(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 11, "train": 0.5}))
+        out, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        rc = run(f"--config={cfg}", "split",
+                 "--manifest", str(workspace["manifest"]), "--out", str(out))
+        assert rc == 0
+        run("split", "--manifest", str(workspace["manifest"]),
+            "--seed", "11", "--train", "0.5", "--out", str(out2))
+        assert out.read_text() == out2.read_text()
+
+    def test_config_value_checked_by_flag_type(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": [1]}))
+        rc = run("--config", str(cfg), "split",
+                 "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "s.jsonl"))
+        assert rc == 1
+        assert "itect: usage error" in capsys.readouterr().err
+
+    def test_config_value_checked_by_flag_choices(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": "holdout"}))
+        rc = run("--config", str(cfg), "ents", "--manifest",
+                 str(workspace["manifest"]), "--out", str(tmp_path / "f.csv"))
+        assert rc == 1
+        assert "itect: usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_threads_flag_must_be_a_count(self, workspace, tmp_path, capsys, value):
+        rc = run(f"--threads={value}", "ents", "--manifest",
+                 str(workspace["manifest"]), "--out", str(tmp_path / "f.csv"))
+        assert rc == 1
+        assert "itect: usage error" in capsys.readouterr().err
+
+    def test_threads_env_must_be_a_count(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("ITECT_THREADS", "zz")
+        rc = run("ents", "--manifest", str(workspace["manifest"]),
+                 "--out", str(tmp_path / "f.csv"))
+        assert rc == 1
+        assert "itect: usage error: ITECT_THREADS" in capsys.readouterr().err
+
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("ITECT_THREADS", "3")
         assert cli._threads(None) == 3
@@ -265,6 +309,23 @@ class TestPipelineCommands:
         assert rc == 0
         assert len(verdicts.read_text().splitlines()) == 1
         assert f"diagnostic: {bad}" in capsys.readouterr().err
+
+    def test_slamm_classify_skips_bad_file(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        bad = tmp_path / "bad.bytes"
+        bad.write_bytes(b"00000000 4D 5A\n\xff\xfe 90\n")
+        mal = ",".join(
+            str(trained["models"][c])
+            for c in ("polymorphic", "metamorphic", "packed")
+        )
+        rc = run("slamm-classify", "--models", mal,
+                 "--benign", str(trained["models"]["benign"]), str(bad), good)
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert [json.loads(l)["path"] for l in out.splitlines()] == [good]
+        assert f"diagnostic: {bad}" in err
 
     def test_classify_truncated_model_is_data_error(
         self, workspace, trained, tmp_path, capsys

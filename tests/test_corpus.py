@@ -1,7 +1,7 @@
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from itect import corpus
 from itect.errors import DataError
@@ -107,6 +107,75 @@ class TestSplitManifest:
             corpus.split_manifest(_manifest(10, 10), 1.5, seed=0)
 
 
+def token_decoder(text):
+    """Reference decoder: every line parsed token by token."""
+    out = bytearray()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            offset = int(tokens[0].rstrip(":"), 16)
+        except ValueError:
+            raise DataError(f"line {lineno}: bad offset {tokens[0]!r}") from None
+        if offset != len(out):
+            raise DataError(
+                f"line {lineno}: offset {offset:#x} does not follow previous bytes"
+            )
+        for tok in tokens[1:]:
+            if tok == "??":
+                out.append(0)
+            elif len(tok) == 2 and set(tok) <= set("0123456789abcdefABCDEF"):
+                out.append(int(tok, 16))
+            else:
+                raise DataError(f"line {lineno}: malformed hex pair {tok!r}")
+    return bytes(out)
+
+
+_SPACES = st.sampled_from([" ", "  ", "\t", " \t", "\u00a0", "\u2003", "\u3000"])
+_OFFSETS = st.sampled_from(
+    ["{:08X}", "{:08x}", "{:X}", "{:08X}:", "{:08X}::", "0x{:x}"]
+)
+_PAIRS = st.one_of(
+    st.integers(0, 255).map("{:02X}".format),
+    st.integers(0, 255).map("{:02x}".format),
+    st.just("??"),
+)
+_BAD_PAIRS = st.sampled_from(["G0", "4", "ABC", "?A", "0x", "--", "\u0664\u0662"])
+
+
+@st.composite
+def dump_lines(draw):
+    """Dump text mixing plain lines with every variant the token parser
+    accepts or rejects: case, ``??``, colons, tabs, blank lines, ``0x``
+    offsets, Unicode spaces, bad pairs and gapped offsets."""
+    lines = []
+    offset = 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u3000"])))
+            continue
+        pairs = draw(st.lists(_PAIRS, max_size=16))
+        off_fmt, start = draw(_OFFSETS), offset
+        if kind == 1:
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(_BAD_PAIRS))
+        elif kind == 2:
+            start += draw(st.sampled_from([-1, 1, 16]))
+        elif kind == 3:
+            off_fmt = draw(st.sampled_from(["zz{:X}", "{:X}:4D", "-"]))
+        plain = draw(st.booleans())
+        line = off_fmt.format(start)
+        for pair in pairs:
+            line += (" " if plain else draw(_SPACES)) + pair
+        if not plain:
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(_SPACES)
+        lines.append(line)
+        offset += len(pairs)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
 class TestHexdump:
     def test_basic(self):
         assert corpus.hexdump_to_bytes("00000000 4D 5A 90") == bytes([0x4D, 0x5A, 0x90])
@@ -135,6 +204,20 @@ class TestHexdump:
 
     def test_colon_offsets_accepted(self):
         assert corpus.hexdump_to_bytes("00000000: 01 02") == b"\x01\x02"
+
+    @given(dump_lines())
+    @example("0x0 4D\n0x1\u00a05A")
+    @example("0000:: 4D\t5A\n00000002 ??")
+    @example("0000 4D\n0000 5A")
+    def test_matches_token_decoder(self, text):
+        try:
+            expect = token_decoder(text)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                corpus.hexdump_to_bytes(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert corpus.hexdump_to_bytes(text) == expect
 
     @given(st.binary(min_size=0, max_size=200))
     def test_round_trip(self, data):

@@ -44,6 +44,26 @@ def brute_force_logprob(model, data):
     return total
 
 
+def per_order_q(model, codes):
+    """The back-off chain re-smoothed order by order at every code."""
+    d = model.smoothing.discount
+    t1 = max(model.total_tokens, 1)
+    q = np.maximum(model.counts[0][codes & 0xFF] - d, 0.0) / t1 + (
+        d * np.count_nonzero(model.counts[0]) / t1
+    ) * (1.0 / 256.0)
+    for k in range(2, model.n + 1):
+        gk = codes & ((1 << (8 * k)) - 1)
+        table = model.counts[k - 1].reshape(256 ** (k - 1), 256)
+        tk = table.sum(axis=1, dtype=np.int64)[gk >> 8]
+        distinct = np.count_nonzero(table, axis=1).astype(np.int64)[gk >> 8]
+        seen = tk > 0
+        tk_safe = np.where(seen, tk, 1)
+        num = np.maximum(model.counts[k - 1][gk] - d, 0.0) / tk_safe
+        lam = d * distinct / tk_safe
+        q = np.where(seen, num + lam * q, q)
+    return np.maximum(q, model.smoothing.unseen_floor)
+
+
 class TestEncodeNgrams:
     def test_bigram_codes(self):
         codes = slamm.encode_ngrams(b"\x01\x02\x03", 2)
@@ -149,6 +169,21 @@ class TestSmoothing:
             ce = slamm.cross_entropy(model, slamm.histogram(data, n))
             expect = -model.sequence_logprob(data) / (len(data) - n + 1)
             assert ce == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lower_order_table_is_exact(self, n):
+        # Bytes 0..39 only, so most contexts of a random code are unseen;
+        # a discount that is not a power of two exposes any reordering.
+        rng = np.random.default_rng(10 + n)
+        docs = [rng.integers(0, 40, 4000).astype(np.uint8).tobytes() for _ in range(3)]
+        smoothing = slamm.SmoothingParams(discount=0.37)
+        model = slamm.NgramModel.train(docs, n=n, smoothing=smoothing)
+        seen = slamm.encode_ngrams(docs[0], n)[:500]
+        every = np.arange(256 ** min(n, 2))
+        for codes in (rng.integers(0, 256**n, 5000), seen, every):
+            np.testing.assert_array_equal(
+                model._cond_probs_from_codes(codes), per_order_q(model, codes)
+            )
 
     def test_cross_entropy_order_mismatch(self):
         model = slamm.NgramModel.train([b"abracadabra"], n=2)
