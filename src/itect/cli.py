@@ -224,7 +224,14 @@ def _readable_samples(paths: list[str]):
 
 def _cmd_slamm_classify(args) -> int:
     malware, benign = _load_slamm_models(args.models, args.benign)
+    n = benign[0].n
     for path, data in _readable_samples(args.files):
+        if len(data) < n:  # classify abstains on such a file
+            print(
+                f"diagnostic: {path}: shorter than the model order ({len(data)} < {n}), skipped",
+                file=sys.stderr,
+            )
+            continue
         v = slamm.slamm_classify(data, malware, benign)
         print(
             json.dumps(
@@ -491,8 +498,9 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     A first pass takes ``--config`` out. Each config key that names a
     flag of the top-level parser or of the chosen subcommand is then
     placed ahead of the user's own flags, so it goes through the flag's
-    type and choices and an explicit flag still wins. Keys no flag of
-    this command takes are ignored.
+    type and choices and an explicit flag still wins. A key no flag of
+    this command takes gets a ``diagnostic:`` line and is ignored, so a
+    config file can be shared between subcommands.
     """
     pre = _Parser(prog=parser.prog, add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
@@ -504,6 +512,8 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     if not isinstance(values, dict):
         raise ValueError(f"{known.config}: config must be a JSON object")
 
+    unused = dict(values)
+
     def as_flags(p: _Parser) -> list[str]:
         out = []
         for key, value in values.items():
@@ -511,12 +521,20 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             if flag:
                 text = value if isinstance(value, str) else json.dumps(value)
                 out.append(f"{flag}={text}")
+                unused.pop(key, None)
         return out
 
     commands = parser.commands
     i = next((i for i, a in enumerate(argv) if a in commands), len(argv))
-    command = as_flags(commands[argv[i]]) if i < len(argv) else []
+    name = argv[i] if i < len(argv) else None
+    command = as_flags(commands[name]) if name else []
     argv = as_flags(parser) + argv[: i + 1] + command + argv[i + 1 :]
+    if name:
+        for key in unused:
+            print(
+                f"diagnostic: config key {key!r} names no flag of itect {name}",
+                file=sys.stderr,
+            )
     return parser.parse_args(argv, known)
 
 

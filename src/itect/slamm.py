@@ -11,8 +11,9 @@ A suspect is flagged as malware only when all three agree; with
 several malware models each classifier is OR-ed across them first.
 
 All three score one sparse histogram of the suspect, built once per
-file: cross-entropy evaluates the smoothed model at its distinct codes,
-KLD and MSE read the zoo's masses from its top-order counts in place.
+file, and one gather per zoo of the zoo's top-order counts at the
+suspect's distinct codes: cross-entropy smooths those counts, KLD and
+MSE divide them by the zoo's total.
 
 Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
@@ -36,6 +37,8 @@ _MAGIC = b"SLMM"
 _FORMAT_VERSION = 1
 # One record per non-zero count: big-endian gram code, count.
 _RECORD = np.dtype([("g", ">u8"), ("c", "<u8")])
+# Records per block when a model's counts are read or tallied.
+_BLOCK = 1 << 18
 
 
 def _count_dtype(k: int) -> type:
@@ -49,6 +52,40 @@ def _read_exact(fh, size: int, what: str) -> bytes:
             f"truncated model file: {what} needs {size} bytes, got {len(raw)}"
         )
     return raw
+
+
+def _read_records(fh, tables: list[np.ndarray]):
+    """Read each order's records in blocks, check them, scatter them
+    into the dense ``tables`` and yield ``(k, codes, counts)`` per block.
+
+    Codes must be in range and strictly increasing within an order, and
+    counts non-zero and within their counter, as :meth:`NgramModel.save`
+    writes them; anything else raises DataError.
+    """
+    for k, table in enumerate(tables, 1):
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, f"order-{k} record count"))
+        if count > 256**k:
+            raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
+        limit = np.iinfo(table.dtype).max
+        last = -1
+        for start in range(0, count, _BLOCK):
+            rec = np.frombuffer(
+                _read_exact(fh, 16 * min(_BLOCK, count - start), f"order-{k} records"),
+                dtype=_RECORD,
+            )
+            codes = rec["g"].astype(np.int64)  # a code of 2^63 or more wraps below 0
+            if codes.min() < 0 or codes.max() >= 256**k:
+                raise DataError(f"order-{k} gram code out of range")
+            if codes[0] <= last or np.any(codes[1:] <= codes[:-1]):
+                raise DataError(f"order-{k} gram codes not strictly increasing")
+            if np.any(rec["c"] > limit):
+                raise DataError(f"order-{k} count overflows its counter")
+            if not np.all(rec["c"]):
+                raise DataError(f"order-{k} record has a zero count")
+            counts = rec["c"].astype(table.dtype)
+            table[codes] = counts
+            last = int(codes[-1])
+            yield k, codes, counts
 
 
 @dataclass(frozen=True)
@@ -132,24 +169,64 @@ class NgramModel:
         self._pending[order_idx] = []
         self._pending_sizes[order_idx] = 0
 
-    def finalize(self) -> "NgramModel":
+    def finalize(
+        self, records: Iterable[tuple[int, np.ndarray, np.ndarray]] | None = None
+    ) -> "NgramModel":
+        """Freeze the model and tabulate what scoring reads.
+
+        ``records`` yields ``(k, codes, counts)`` blocks of the non-zero
+        order-k counts, codes strictly increasing, orders ascending; by
+        default they are read from the dense counts, as :meth:`save`
+        writes them. One pass gives each context's total and number of
+        distinct continuations, from runs of ``code >> 8``, and the top
+        order's support size, total and sum of squared counts.
+        """
         for i in range(self.n):
             self._flush(i)
-        # Continuation statistics per context: total following tokens
-        # and number of distinct continuations.
-        self._ctx_total: list[np.ndarray] = []
-        self._ctx_distinct: list[np.ndarray] = []
-        for k in range(2, self.n + 1):
-            table = self.counts[k - 1].reshape(256 ** (k - 1), 256)
-            self._ctx_total.append(table.sum(axis=1, dtype=np.int64))
-            self._ctx_distinct.append(
-                np.count_nonzero(table, axis=1).astype(np.int64)
-            )
-        self._total_tokens = int(self.counts[0].sum())
-        self._distinct_unigrams = int(np.count_nonzero(self.counts[0]))
+        totals, distinct, sumsq = [0] * self.n, [0] * self.n, 0.0
+        self._ctx_total = [
+            np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)
+        ]
+        self._ctx_distinct = [np.zeros_like(t) for t in self._ctx_total]
+        if records is None:
+            records = self._records()
+        for k, codes, counts in records:
+            totals[k - 1] += int(counts.sum(dtype=np.int64))
+            distinct[k - 1] += len(codes)
+            if k == self.n:
+                c = counts.astype(np.float64)
+                sumsq += float(c @ c)
+            if k >= 2:
+                ctx = codes >> 8
+                starts = np.flatnonzero(np.diff(ctx, prepend=-1))
+                runs = ctx[starts]
+                self._ctx_total[k - 2][runs] += np.add.reduceat(
+                    counts, starts, dtype=np.int64
+                )
+                self._ctx_distinct[k - 2][runs] += np.diff(starts, append=len(ctx))
+        self._total_tokens = totals[0]
+        self._distinct_unigrams = distinct[0]
+        self._top = (distinct[-1], totals[-1], sumsq)
+        # Per context of order k >= 2: the total and the back-off weight
+        # d * distinct / total, both 1 where the context is unseen, so the
+        # discount step passes the lower order's q through unchanged.
+        d = self.smoothing.discount
+        self._tk_safe = [np.where(t > 0, t, 1.0) for t in self._ctx_total]
+        self._lam = [
+            np.where(t > 0, d * c / s, 1.0)
+            for t, c, s in zip(self._ctx_total, self._ctx_distinct, self._tk_safe)
+        ]
         self._lower_q = self._lower_order_table()
         self._finalized = True
         return self
+
+    def _records(self):
+        """The non-zero counts as ``(k, codes, counts)`` blocks."""
+        for k, table in enumerate(self.counts, 1):
+            nz = np.flatnonzero(table)
+            for start in range(0, len(nz), _BLOCK):
+                codes = nz[start : start + _BLOCK]
+                yield k, codes, table[codes]
 
     def _lower_order_table(self) -> np.ndarray:
         """Smoothed q at every code of order n-1, the top order's back-off.
@@ -218,7 +295,8 @@ class NgramModel:
         Absolute discounting: subtract the discount from every seen
         count and hand the freed mass to the next-lower order; the base
         order backs off to uniform over the 256 byte values. Unseen
-        contexts skip straight to the lower order. Arrays broadcast.
+        contexts pass the lower order through, by the tables built at
+        finalize. Arrays broadcast.
         """
         d = self.smoothing.discount
         if k == 1:
@@ -227,24 +305,23 @@ class NgramModel:
             q /= t1
             q += (d * self._distinct_unigrams / t1) * lower
             return q
-        tk = self._ctx_total[k - 2][ctx]
-        seen = tk > 0
-        tk_safe = np.where(seen, tk, 1)
         q = np.maximum(counts - d, 0.0)
-        q /= tk_safe
-        lam = d * self._ctx_distinct[k - 2][ctx]
-        lam /= tk_safe
-        q += lam * lower
-        return np.where(seen, q, lower)
+        q /= self._tk_safe[k - 2][ctx]
+        q += self._lam[k - 2][ctx] * lower
+        return q
 
-    def _cond_probs_from_codes(self, codes: np.ndarray) -> np.ndarray:
+    def _cond_probs_from_codes(
+        self, codes: np.ndarray, top: np.ndarray | None = None
+    ) -> np.ndarray:
         """Smoothed q(w | history) for each full-order code in ``codes``.
 
         The orders below the top come from the table built at
         finalize; only the top-order discount step runs per code.
+        ``top`` holds ``counts[n-1][codes]`` if the caller has them.
         """
         lower = self._lower_q[codes & (len(self._lower_q) - 1)]
-        top = self.counts[self.n - 1][codes]
+        if top is None:
+            top = self.counts[self.n - 1][codes]
         q = self._discount_step(self.n, top, codes >> 8, lower)
         return np.maximum(q, self.smoothing.unseen_floor)
 
@@ -266,21 +343,19 @@ class NgramModel:
     def histogram(self) -> "NgramHistogram":
         """Unsmoothed relative frequencies of the zoo's top-order n-grams.
 
-        A view on ``counts[n-1]``, not a copy; support size and sum of
-        squared masses are taken once here from the non-zero counts.
+        A view on ``counts[n-1]``, not a copy; support size, total and
+        sum of squares come from the tally made at finalize.
         """
         self._require_finalized()
-        top = self.counts[self.n - 1]
-        seen = top[top != 0]
-        total = int(seen.sum(dtype=np.int64))
+        support, total, sumsq = self._top
         if total == 0:
             raise DataError("model has no top-order counts")
         return NgramHistogram(
             n=self.n,
-            support_size=len(seen),
-            _counts=top,
+            support_size=support,
+            _counts=self.counts[self.n - 1],
             _total=total,
-            _sumsq=float(((seen / total) ** 2).sum()),
+            _sumsq=sumsq / total**2,
         )
 
     # -- serialization -----------------------------------------------
@@ -313,7 +388,11 @@ class NgramModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
-        """Read a model file; a truncated or corrupt one raises DataError."""
+        """Read a model file; a truncated or corrupt one raises DataError.
+
+        Each block of records is tallied by finalize as it is read, so
+        loading makes no pass over the 256^n cells.
+        """
         with open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _MAGIC:
@@ -333,25 +412,8 @@ class NgramModel:
                 zoo_id = _read_exact(fh, zoo_len, "zoo id").decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError("zoo id is not UTF-8") from None
-            records = []
-            for k in range(1, n + 1):
-                (count,) = struct.unpack(
-                    "<Q", _read_exact(fh, 8, f"order-{k} record count")
-                )
-                if count > 256**k:
-                    raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
-                rec = np.frombuffer(
-                    _read_exact(fh, count * 16, f"order-{k} records"), dtype=_RECORD
-                )
-                if np.any(rec["g"] >= 256**k):
-                    raise DataError(f"order-{k} gram code out of range")
-                if np.any(rec["c"] > np.iinfo(_count_dtype(k)).max):
-                    raise DataError(f"order-{k} count overflows its counter")
-                records.append(rec)
-        model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id)
-        for counts, rec in zip(model.counts, records):
-            counts[rec["g"].astype(np.int64)] = rec["c"].astype(counts.dtype)
-        return model.finalize()
+            model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id)
+            return model.finalize(_read_records(fh, model.counts))
 
 
 @dataclass
@@ -434,33 +496,57 @@ def histogram(source: bytes | Sequence[bytes], n: int) -> NgramHistogram:
     )
 
 
-def cross_entropy(model: NgramModel, p: NgramHistogram) -> float:
+def _top_counts(model: NgramModel, p: NgramHistogram) -> np.ndarray:
+    """The model's top-order counts at the suspect's distinct n-grams."""
+    if p.n != model.n:
+        raise DataError(f"histogram order {p.n} does not match model order {model.n}")
+    return model.counts[model.n - 1][p.keys]
+
+
+def cross_entropy(
+    model: NgramModel, p: NgramHistogram, top: np.ndarray | None = None
+) -> float:
     """Bits per token the model needs to encode a suspect.
 
     ``p`` is the suspect's top-order histogram; the result,
     -sum p * log2 q(p.keys), equals ``-sequence_logprob(data) / tokens``
     but evaluates the model once per distinct n-gram, not per position.
+    ``top`` holds the model's top-order counts at ``p.keys`` if the
+    caller has already gathered them.
     """
-    if p.n != model.n:
-        raise DataError(f"histogram order {p.n} does not match model order {model.n}")
-    return float(-(p.probs * np.log2(model._cond_probs_from_codes(p.keys))).sum())
+    if top is None:
+        top = _top_counts(model, p)
+    return float(-(p.probs * np.log2(model._cond_probs_from_codes(p.keys, top))).sum())
 
 
-def kld(p: NgramHistogram, q: NgramHistogram, eps: float = 1e-10) -> float:
-    """Relative entropy of p from q, flooring zero q-masses at eps."""
+def kld(
+    p: NgramHistogram, q: NgramHistogram, eps: float = 1e-10, qv: np.ndarray | None = None
+) -> float:
+    """Relative entropy of p from q, flooring zero q-masses at eps.
+
+    ``qv`` holds q's masses at ``p.keys`` if the caller has them.
+    """
     if p.support_size == 0:
         raise DataError("p has empty support")
-    qv = q.lookup(p.keys)
+    if qv is None:
+        qv = q.lookup(p.keys)
     qv = np.where(qv > 0, qv, eps)
     return float((p.probs * np.log2(p.probs / qv)).sum())
 
 
-def mse(model_hist: NgramHistogram, p_hist: NgramHistogram) -> float:
-    """Mean squared mass difference over the model's event set."""
+def mse(
+    model_hist: NgramHistogram, p_hist: NgramHistogram, qv: np.ndarray | None = None
+) -> float:
+    """Mean squared mass difference over the model's event set.
+
+    ``qv`` holds the model's masses at ``p_hist.keys`` if the caller has
+    them.
+    """
     m = model_hist.support_size
     if m == 0:
         raise DataError("model histogram has empty support")
-    qv = model_hist.lookup(p_hist.keys)
+    if qv is None:
+        qv = model_hist.lookup(p_hist.keys)
     inside = qv > 0
     pv = p_hist.probs[inside]
     cross = float((pv * pv - 2.0 * pv * qv[inside]).sum())
@@ -487,18 +573,25 @@ def slamm_classify(
 ) -> SlammVerdict:
     """Unanimous AND of the three classifiers, each OR-ed across zoos.
 
-    Every zoo is scored from one histogram of the suspect. Ties resolve
-    to benign: every comparison is a strict "<".
+    Every zoo is scored from one histogram of the suspect and one
+    gather of the zoo's top-order counts at its keys, which also gives
+    the zoo's masses when ``hist`` is the model's count view. Ties
+    resolve to benign: every comparison is a strict "<".
     """
     if not malware_models:
         raise DataError("need at least one malware model")
     p_hist = NgramHistogram.from_data(data, benign[0].n)
 
     def scores(model: NgramModel, hist: NgramHistogram) -> dict[str, float]:
+        top = _top_counts(model, p_hist)
+        if hist._counts is model.counts[model.n - 1]:
+            qv = top / hist._total
+        else:
+            qv = hist.lookup(p_hist.keys)
         return {
-            "cross_entropy": cross_entropy(model, p_hist),
-            "kld": kld(p_hist, hist),
-            "mse": mse(hist, p_hist),
+            "cross_entropy": cross_entropy(model, p_hist, top),
+            "kld": kld(p_hist, hist, qv=qv),
+            "mse": mse(hist, p_hist, qv=qv),
         }
 
     base = scores(*benign)

@@ -122,6 +122,16 @@ class TestConfigAndThreads:
             "--seed", "11", "--train", "0.5", "--out", str(out2))
         assert out.read_text() == out2.read_text()
 
+    def test_config_key_without_flag_is_reported(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sede": 5}))
+        rc = run("--config", str(cfg), "split", "--manifest",
+                 str(workspace["manifest"]), "--seed", "1",
+                 "--out", str(tmp_path / "s.jsonl"))
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "diagnostic: config key 'sede' names no flag of itect split" in err
+
     def test_config_value_checked_by_flag_type(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": [1]}))
@@ -326,6 +336,27 @@ class TestPipelineCommands:
         out, err = capsys.readouterr()
         assert [json.loads(l)["path"] for l in out.splitlines()] == [good]
         assert f"diagnostic: {bad}" in err
+
+    def test_slamm_classify_skips_sample_shorter_than_order(
+        self, workspace, tmp_path, capsys
+    ):
+        manifest = str(workspace["manifest"])
+        models = {}
+        for category in ("polymorphic", "benign"):
+            models[category] = tmp_path / f"{category}.slmm"
+            assert run("slamm-train", "--manifest", manifest, "--category", category,
+                       "--split", "train", "--n", "3",
+                       "--out", str(models[category])) == 0
+        good = CorpusManifest.load(manifest).by_split("test")[0].path
+        short = tmp_path / "short.bin"
+        short.write_bytes(b"MZ")
+        capsys.readouterr()
+        rc = run("slamm-classify", "--models", str(models["polymorphic"]),
+                 "--benign", str(models["benign"]), str(short), good)
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert [json.loads(l)["path"] for l in out.splitlines()] == [good]
+        assert f"diagnostic: {short}: shorter than the model order (2 < 3)" in err
 
     def test_classify_truncated_model_is_data_error(
         self, workspace, trained, tmp_path, capsys

@@ -1,11 +1,12 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from itect import slamm
+from itect import slamm, synth
 from itect.errors import DataError
 
 
@@ -223,6 +224,20 @@ def _patch_count(raw, order, count):
     return raw[:pos] + struct.pack("<Q", count) + raw[pos + 8 :]
 
 
+def _swap_records(raw, order):
+    """Swap the first two records of ``order``."""
+    pos = _order_offset(raw, order) + 8
+    return raw[:pos] + raw[pos + 16 : pos + 32] + raw[pos : pos + 16] + raw[pos + 32 :]
+
+
+def _repeat_record(raw, order):
+    """Write the first record of ``order`` twice, with the record count to match."""
+    pos = _order_offset(raw, order)
+    (count,) = struct.unpack_from("<Q", raw, pos)
+    first = raw[pos + 8 : pos + 24]
+    return raw[:pos] + struct.pack("<Q", count + 1) + first + raw[pos + 8 :]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = slamm.NgramModel.train(
@@ -293,6 +308,21 @@ class TestSerialization:
                 "exceeds",
                 id="record-count-too-large",
             ),
+            pytest.param(
+                lambda b: _swap_records(b, order=2),
+                "not strictly increasing",
+                id="records-swapped",
+            ),
+            pytest.param(
+                lambda b: _repeat_record(b, order=2),
+                "not strictly increasing",
+                id="record-repeated",
+            ),
+            pytest.param(
+                lambda b: _patch_record(b, order=2, count=0),
+                "zero count",
+                id="zero-count",
+            ),
         ],
     )
     def test_corrupt_file_is_data_error(self, tmp_path, corrupt, match):
@@ -303,6 +333,94 @@ class TestSerialization:
         path.write_bytes(corrupt(raw))
         with pytest.raises(DataError, match=match):
             slamm.NgramModel.load(path)
+
+
+def _dense_context_stats(model, k):
+    """Per-context total and distinct continuations of order k, from a
+    full scan of the dense counts."""
+    table = model.counts[k - 1].reshape(256 ** (k - 1), 256)
+    return table.sum(axis=1, dtype=np.int64), np.count_nonzero(table, axis=1)
+
+
+class TestLoadedTables:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("block", [5, 1 << 18])
+    def test_loaded_equals_trained(self, tmp_path, monkeypatch, n, block):
+        # Small blocks split context runs across blocks on load and on
+        # finalize; bytes 0..39 leave most contexts unseen.
+        monkeypatch.setattr(slamm, "_BLOCK", block)
+        rng = np.random.default_rng(20 + n)
+        docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(3)]
+        docs.append(b"abracadabra")
+        trained = slamm.NgramModel.train(
+            docs, n=n, smoothing=slamm.SmoothingParams(discount=0.37)
+        )
+        path = tmp_path / "m.slmm"
+        trained.save(path)
+        loaded = slamm.NgramModel.load(path)
+        for attr in ("_ctx_total", "_ctx_distinct", "_tk_safe", "_lam"):
+            a, b = getattr(trained, attr), getattr(loaded, attr)
+            assert len(a) == len(b) == n - 1
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(trained._lower_q, loaded._lower_q)
+        assert trained.total_tokens == loaded.total_tokens
+        for k in range(2, n + 1):
+            total, distinct = _dense_context_stats(trained, k)
+            np.testing.assert_array_equal(loaded._ctx_total[k - 2], total)
+            np.testing.assert_array_equal(loaded._ctx_distinct[k - 2], distinct)
+            seen = total > 0
+            np.testing.assert_array_equal(loaded._tk_safe[k - 2][seen], total[seen])
+            assert np.all(loaded._tk_safe[k - 2][~seen] == 1)
+            assert np.all(loaded._lam[k - 2][~seen] == 1.0)
+        h_trained, h_loaded = trained.histogram(), loaded.histogram()
+        top = trained.counts[n - 1]
+        assert h_trained.support_size == h_loaded.support_size == np.count_nonzero(top)
+        assert h_trained._total == h_loaded._total == top.sum()
+        assert h_trained.sum_of_squares() == h_loaded.sum_of_squares()
+        assert h_loaded.sum_of_squares() == pytest.approx(
+            ((top[top != 0] / top.sum()) ** 2).sum(), rel=1e-15
+        )
+
+
+@pytest.fixture(scope="module")
+def synth_files(tmp_path_factory):
+    """Synth training documents per zoo and held-out suspects."""
+    root = tmp_path_factory.mktemp("synth")
+    profiles = {
+        "benign": "benign_like",
+        "polymorphic": "polymorphic_like",
+        "metamorphic": "metamorphic_like",
+        "packed": "packed_like",
+    }
+    zoos, suspects = {}, []
+    for zoo, profile in profiles.items():
+        manifest = synth.synth_corpus(profile, 4, (2048, 4096), 9, root / profile)
+        docs = [Path(e.path).read_bytes() for e in manifest]
+        zoos[zoo] = docs[:3]
+        suspects += docs[3:]
+    return zoos, suspects
+
+
+class TestSlammClassifyDiagnostics:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_diagnostics_equal_standalone_scores(self, tmp_path, synth_files, n):
+        docs, suspects = synth_files
+        pairs = {}
+        for zoo, zoo_docs in docs.items():
+            path = tmp_path / f"{zoo}.slmm"
+            slamm.NgramModel.train(zoo_docs, n=n, zoo_id=zoo).save(path)
+            model = slamm.NgramModel.load(path)
+            pairs[zoo] = (model, model.histogram())
+        benign = pairs.pop("benign")
+        for data in suspects:
+            v = slamm.slamm_classify(data, list(pairs.values()), benign)
+            p = slamm.histogram(data, n)
+            for zoo, (model, hist) in {"benign": benign, **pairs}.items():
+                got = v.diagnostics[zoo]
+                assert got["cross_entropy"] == slamm.cross_entropy(model, p)
+                assert got["kld"] == slamm.kld(p, hist)
+                assert got["mse"] == pytest.approx(slamm.mse(hist, p), rel=1e-15, abs=0)
 
 
 class TestHistogram:
