@@ -128,37 +128,33 @@ def _best_split(
     feat_ids: np.ndarray,
     min_leaf: int,
 ) -> tuple[int, float] | None:
-    best_cost = np.inf
-    best = None
-    for f in feat_ids:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        ws = w[order]
-        cum1 = np.cumsum(ws * ys)
-        cum_all = np.cumsum(ws)
-        total1 = cum1[-1]
-        total_all = cum_all[-1]
-        # Candidate boundaries after position i (left = first i+1 rows).
-        i = np.arange(len(xs) - 1)
-        valid = xs[i] < xs[i + 1]
-        if min_leaf > 1:
-            valid &= (i + 1 >= min_leaf) & (len(xs) - i - 1 >= min_leaf)
-        if not np.any(valid):
-            continue
-        wl1 = cum1[:-1]
-        wl = cum_all[:-1]
-        wl0 = wl - wl1
-        wr1 = total1 - wl1
-        wr0 = (total_all - wl) - wr1
-        cost = _weighted_gini_cost(wl0, wl1, wr0, wr1)
-        cost = np.where(valid, cost, np.inf)
-        j = int(np.argmin(cost))
-        if cost[j] < best_cost:
-            best_cost = cost[j]
-            best = (int(f), float((xs[j] + xs[j + 1]) / 2.0))
-    return best
+    """Lowest-cost split over the candidate features, all sorted at once.
+
+    The first feature with the lowest cost wins, then the first
+    boundary within it; None if no feature has a valid boundary.
+    """
+    cols = x[:, feat_ids]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    ws = w[order]
+    cum1 = np.cumsum(ws * y[order], axis=0)
+    cum_all = np.cumsum(ws, axis=0)
+    # Candidate boundaries after row i of each column (left = first i+1 rows).
+    m = len(xs)
+    valid = xs[:-1] < xs[1:]
+    if min_leaf > 1:
+        i = np.arange(m - 1)[:, None]
+        valid &= (i + 1 >= min_leaf) & (m - i - 1 >= min_leaf)
+    wl1 = cum1[:-1]
+    wl = cum_all[:-1]
+    wl0 = wl - wl1
+    wr1 = cum1[-1] - wl1
+    wr0 = (cum_all[-1] - wl) - wr1
+    cost = np.where(valid, _weighted_gini_cost(wl0, wl1, wr0, wr1), np.inf).T
+    f, j = divmod(int(np.argmin(cost)), m - 1)
+    if not cost[f, j] < np.inf:
+        return None
+    return int(feat_ids[f]), float((xs[j, f] + xs[j + 1, f]) / 2.0)
 
 
 def _grow(

@@ -39,10 +39,18 @@ _FORMAT_VERSION = 1
 _RECORD = np.dtype([("g", ">u8"), ("c", "<u8")])
 # Records per block when a model's counts are read or tallied.
 _BLOCK = 1 << 18
+# Pending codes of one order that trigger a flush into its dense counts.
+_FLUSH_CODES = 1 << 23
+
+
+def _bincounted(k: int) -> bool:
+    """Whether order k is counted by bincount (256^k cells are cheap to
+    allocate per document), rather than by sorting its pending codes."""
+    return 256**k <= 1 << 16
 
 
 def _count_dtype(k: int) -> type:
-    return np.int64 if 256**k <= 1 << 16 else np.int32
+    return np.int64 if _bincounted(k) else np.int32
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
@@ -100,18 +108,34 @@ class SmoothingParams:
             raise ValueError("unseen_floor must be in (0, 1)")
 
 
-def encode_ngrams(data: bytes, n: int) -> np.ndarray:
-    """Integer codes of the overlapping n-grams of ``data`` (stride 1)."""
+def encode_ngrams(data: bytes, n: int, dtype: type = np.int64) -> np.ndarray:
+    """Integer codes of the overlapping n-grams of ``data`` (stride 1).
+
+    ``dtype`` must hold 256^n - 1; int32 does for n <= 3 and sorts
+    faster than int64.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(data) < n:
         raise DataError(f"input shorter than n-gram order ({len(data)} < {n})")
-    arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    arr = np.frombuffer(data, dtype=np.uint8)
     m = len(arr) - n + 1
-    codes = np.zeros(m, dtype=np.int64)
-    for j in range(n):
-        codes += arr[j : j + m] << (8 * (n - 1 - j))
+    codes = arr[:m].astype(dtype)
+    for j in range(1, n):
+        codes <<= 8
+        codes |= arr[j : j + m]
     return codes
+
+
+def _sorted_runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``codes``, ascending, and how often each
+    occurs. Sorts ``codes`` in place."""
+    codes.sort()
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return codes[starts], np.diff(starts, append=len(codes))
 
 
 class NgramModel:
@@ -121,6 +145,12 @@ class NgramModel:
     the k-gram's integer code. Immutable once finalized. Finalizing also
     tabulates the smoothed q of order n-1 (256^(n-1) values), so scoring
     smooths only the top order per code.
+
+    Training bincounts each document's codes of the small orders. The
+    codes of an order with more than 2^16 cells are kept pending as
+    int32 and, per flush, sorted into runs whose counts are added into
+    the dense table; the sorted distinct codes are kept, so finalize
+    and save read the non-zero counts without scanning 256^k cells.
     """
 
     def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
@@ -140,6 +170,8 @@ class NgramModel:
         self._finalized = False
         self._pending: list[list[np.ndarray]] = [[] for _ in range(n)]
         self._pending_sizes = [0] * n
+        # Sorted codes of the non-zero counts of each sort-counted order.
+        self._nonzero: list[np.ndarray | None] = [None] * n
 
     # -- training ----------------------------------------------------
 
@@ -148,26 +180,30 @@ class NgramModel:
             raise RuntimeError("model is immutable after finalize()")
         if len(data) < self.n:
             raise DataError("document shorter than n")
-        for k in range(1, self.n + 1):
-            codes = encode_ngrams(data, k)
+        for k, table in enumerate(self.counts, 1):
+            if _bincounted(k):
+                table += np.bincount(encode_ngrams(data, k), minlength=len(table))
+                continue
+            codes = encode_ngrams(data, k, np.int32)
             self._pending[k - 1].append(codes)
             self._pending_sizes[k - 1] += len(codes)
-            if self._pending_sizes[k - 1] > 1 << 23:
+            if self._pending_sizes[k - 1] > _FLUSH_CODES:
                 self._flush(k - 1)
 
     def _flush(self, order_idx: int) -> None:
+        """Sort the order's pending codes into runs, add their counts into
+        the dense table and merge their codes into the sorted non-zero
+        codes."""
         if not self._pending[order_idx]:
             return
         codes = np.concatenate(self._pending[order_idx])
-        binc = np.bincount(codes, minlength=len(self.counts[order_idx]))
-        np.add(
-            self.counts[order_idx],
-            binc,
-            out=self.counts[order_idx],
-            casting="unsafe",
-        )
         self._pending[order_idx] = []
         self._pending_sizes[order_idx] = 0
+        keys, counts = _sorted_runs(codes)
+        del codes  # keys is a copy; free the codes before the merge
+        self.counts[order_idx][keys] += counts
+        seen = self._nonzero[order_idx]
+        self._nonzero[order_idx] = keys if seen is None else np.union1d(seen, keys)
 
     def finalize(
         self, records: Iterable[tuple[int, np.ndarray, np.ndarray]] | None = None
@@ -176,10 +212,10 @@ class NgramModel:
 
         ``records`` yields ``(k, codes, counts)`` blocks of the non-zero
         order-k counts, codes strictly increasing, orders ascending; by
-        default they are read from the dense counts, as :meth:`save`
-        writes them. One pass gives each context's total and number of
-        distinct continuations, from runs of ``code >> 8``, and the top
-        order's support size, total and sum of squared counts.
+        default they are the model's own, as :meth:`save` writes them.
+        One pass gives each context's total and number of distinct
+        continuations, from runs of ``code >> 8``, and the top order's
+        support size, total and sum of squared counts.
         """
         for i in range(self.n):
             self._flush(i)
@@ -220,10 +256,16 @@ class NgramModel:
         self._finalized = True
         return self
 
+    def _nonzero_codes(self, k: int) -> np.ndarray:
+        """Ascending codes of the non-zero order-k counts: the sorted codes
+        kept by training, or else a scan of the dense table."""
+        codes = self._nonzero[k - 1]
+        return np.flatnonzero(self.counts[k - 1]) if codes is None else codes
+
     def _records(self):
         """The non-zero counts as ``(k, codes, counts)`` blocks."""
         for k, table in enumerate(self.counts, 1):
-            nz = np.flatnonzero(table)
+            nz = self._nonzero_codes(k)
             for start in range(0, len(nz), _BLOCK):
                 codes = nz[start : start + _BLOCK]
                 yield k, codes, table[codes]
@@ -377,13 +419,12 @@ class NgramModel:
                 )
             )
             fh.write(zoo)
-            for k in range(1, self.n + 1):
-                arr = self.counts[k - 1]
-                nz = np.flatnonzero(arr)
+            for k, table in enumerate(self.counts, 1):
+                nz = self._nonzero_codes(k)
                 fh.write(struct.pack("<Q", len(nz)))
-                rec = np.zeros(len(nz), dtype=_RECORD)
-                rec["g"] = nz.astype(np.uint64)
-                rec["c"] = arr[nz].astype(np.uint64)
+                rec = np.empty(len(nz), dtype=_RECORD)
+                rec["g"] = nz
+                rec["c"] = table[nz]
                 fh.write(rec.tobytes())
 
     @classmethod
@@ -436,10 +477,10 @@ class NgramHistogram:
 
     @classmethod
     def from_data(cls, data: bytes, n: int) -> "NgramHistogram":
-        codes = encode_ngrams(data, n)
-        keys, counts = np.unique(codes, return_counts=True)
+        codes = encode_ngrams(data, n, np.int32 if 256**n <= 1 << 31 else np.int64)
+        keys, counts = _sorted_runs(codes)
         probs = counts / counts.sum()
-        return cls(n=n, support_size=len(keys), _keys=keys, _probs=probs)
+        return cls(n=n, support_size=len(keys), _keys=keys.astype(np.int64), _probs=probs)
 
     @classmethod
     def from_masses(cls, masses: dict[bytes, float], n: int) -> "NgramHistogram":
@@ -490,7 +531,7 @@ def histogram(source: bytes | Sequence[bytes], n: int) -> NgramHistogram:
     if isinstance(source, (bytes, bytearray)):
         return NgramHistogram.from_data(bytes(source), n)
     codes = np.concatenate([encode_ngrams(doc, n) for doc in source if len(doc) >= n])
-    keys, counts = np.unique(codes, return_counts=True)
+    keys, counts = _sorted_runs(codes)
     return NgramHistogram(
         n=n, support_size=len(keys), _keys=keys, _probs=counts / counts.sum()
     )

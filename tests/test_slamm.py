@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,53 @@ class TestNgramModelTraining:
         model = slamm.NgramModel.train([b"abcd"], n=2)
         with pytest.raises(RuntimeError):
             model.add_document(b"more")
+
+
+class TestTrainingOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("flush", [1000, 1 << 23])
+    def test_trained_equals_bincount_oracle(self, tmp_path, monkeypatch, n, flush):
+        # 5 x 3000 codes against a threshold of 1000 flush the top order
+        # after every document, so its sorted runs merge across flushes;
+        # bytes 0..15 make the flushes share most of their codes.
+        monkeypatch.setattr(slamm, "_FLUSH_CODES", flush)
+        rng = np.random.default_rng(40 + n)
+        docs = [rng.integers(0, hi, 3000).astype(np.uint8).tobytes() for hi in (16, 16, 40, 256)]
+        docs.append(b"abracadabra" * 300)
+        smoothing = slamm.SmoothingParams(discount=0.37)
+        trained = slamm.NgramModel.train(docs, n=n, smoothing=smoothing, zoo_id="z")
+        oracle = slamm.NgramModel(n=n, smoothing=smoothing, zoo_id="z")
+        for k in range(1, n + 1):
+            dense = sum(
+                np.bincount(slamm.encode_ngrams(d, k), minlength=256**k) for d in docs
+            )
+            oracle.counts[k - 1][:] = dense
+            np.testing.assert_array_equal(trained.counts[k - 1], dense)
+            assert trained.counts[k - 1].dtype == oracle.counts[k - 1].dtype
+        oracle.finalize()
+        for attr in ("_ctx_total", "_ctx_distinct"):
+            for x, y in zip(getattr(trained, attr), getattr(oracle, attr), strict=True):
+                np.testing.assert_array_equal(x, y)
+        top = oracle.counts[n - 1]
+        assert trained._top == oracle._top
+        assert trained._top[:2] == (np.count_nonzero(top), top.sum())
+        trained.save(tmp_path / "trained.slmm")
+        oracle.save(tmp_path / "oracle.slmm")
+        assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
+
+    def test_trigram_training_allocates_no_second_table(self, synth_files):
+        # The int32 trigram table is 64 MiB; counting by sorted runs adds
+        # memory per pending code, not a second array over all 256^3 cells.
+        table = 256**3 * np.dtype(np.int32).itemsize
+        docs = synth_files[0]["benign"]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            slamm.NgramModel.train(docs, n=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table <= peak < 2 * table
 
 
 class TestSmoothing:
@@ -458,6 +506,16 @@ class TestHistogram:
             p = slamm.histogram(suspect, n)
             assert slamm.kld(p, view) == pytest.approx(slamm.kld(p, raw), abs=1e-12)
             assert slamm.mse(view, p) == pytest.approx(slamm.mse(raw, p), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_from_data_matches_unique(self, n):
+        rng = np.random.default_rng(30 + n)
+        data = rng.integers(0, 48, 4000).astype(np.uint8).tobytes()
+        keys, counts = np.unique(slamm.encode_ngrams(data, n), return_counts=True)
+        h = slamm.NgramHistogram.from_data(data, n)
+        assert h.keys.dtype == np.int64
+        np.testing.assert_array_equal(h.keys, keys)
+        np.testing.assert_array_equal(h.probs, counts / counts.sum())
 
     def test_lookup_misses_are_zero(self):
         h = slamm.histogram(b"abab", 2)
