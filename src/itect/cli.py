@@ -202,12 +202,8 @@ def _cmd_slamm_train(args) -> int:
 
 
 def _load_slamm_models(model_paths: str, benign_path: str):
-    malware = []
-    for p in model_paths.split(","):
-        m = slamm.NgramModel.load(p.strip())
-        malware.append((m, m.histogram()))
-    b = slamm.NgramModel.load(benign_path)
-    return malware, (b, b.histogram())
+    malware = [slamm.NgramModel.load(p.strip()) for p in model_paths.split(",")]
+    return malware, slamm.NgramModel.load(benign_path)
 
 
 def _readable_samples(paths: list[str]):
@@ -224,7 +220,7 @@ def _readable_samples(paths: list[str]):
 
 def _cmd_slamm_classify(args) -> int:
     malware, benign = _load_slamm_models(args.models, args.benign)
-    n = benign[0].n
+    n = benign.n
     for path, data in _readable_samples(args.files):
         if len(data) < n:  # classify abstains on such a file
             print(
@@ -283,10 +279,13 @@ def _cmd_baseline(args) -> int:
 def _cmd_classify(args) -> int:
     trained = forest_mod.TrainedForest.load(args.ents)
     with open(args.ents_params, "r", encoding="utf-8") as fh:
-        p = json.load(fh)
-    params = ents.EntsParams(
-        chunk_size=p["chunk_size"], alpha=p["alpha"], tau=p["tau"]
-    )
+        try:
+            p = json.load(fh)
+            params = ents.EntsParams(
+                chunk_size=p["chunk_size"], alpha=p["alpha"], tau=p["tau"]
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{args.ents_params}: bad EnTS parameters: {exc!r}") from None
     malware, benign = _load_slamm_models(args.slamm, args.benign)
     t0 = time.perf_counter()
     lines = []
@@ -436,7 +435,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("slamm-train", help="train an n-gram zoo model")
     p.add_argument("--manifest", required=True)
     p.add_argument("--category", required=True, choices=corpus.CATEGORIES)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=int, default=3, choices=range(1, slamm.MAX_DENSE_ORDER + 1))
     p.add_argument("--split", default=None, choices=corpus.SPLITS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_slamm_train)

@@ -22,8 +22,6 @@ LABELS = ("malware", "benign")
 CATEGORIES = ("polymorphic", "metamorphic", "packed", "benign", "unknown")
 SPLITS = ("train", "validation", "test")
 
-SCHEMA_VERSION = 1
-
 _HEX_PAIRS = set("0123456789abcdefABCDEF")
 # A dump line in the common layout: hex offset, optional colon, then
 # space- or tab-separated byte pairs or "??".
@@ -64,23 +62,23 @@ class ManifestEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "ManifestEntry":
-        d = json.loads(line)
-        return cls(
-            path=d["path"],
-            label=d["label"],
-            category=d["category"],
-            split=d["split"],
-            size_bytes=d["size_bytes"],
-            digest=d["digest"],
-        )
+        try:
+            d = json.loads(line)
+            return cls(
+                path=d["path"],
+                label=d["label"],
+                category=d["category"],
+                split=d["split"],
+                size_bytes=d["size_bytes"],
+                digest=d["digest"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"bad manifest line: {exc!r}") from None
 
 
 @dataclass(frozen=True)
 class CorpusManifest:
     entries: tuple[ManifestEntry, ...]
-    schema_version: int = SCHEMA_VERSION
-    # Set when splits are placeholders and a re-split is still required.
-    split_pending: bool = False
 
     def __post_init__(self):
         paths = [e.path for e in self.entries]
@@ -158,7 +156,7 @@ def scan_directory(
                 digest=digest,
             )
         )
-    return CorpusManifest(entries=tuple(entries), split_pending=True)
+    return CorpusManifest(entries=tuple(entries))
 
 
 def split_manifest(
@@ -198,7 +196,7 @@ def split_manifest(
                 split = "test"
             out.append(replace(e, split=split))
     out.sort(key=lambda e: e.path)
-    return CorpusManifest(entries=tuple(out), split_pending=False)
+    return CorpusManifest(entries=tuple(out))
 
 
 def hexdump_to_bytes(text: str | Iterable[str]) -> bytes:

@@ -224,25 +224,29 @@ def write_feature_csv(matrix: FeatureMatrix, path) -> None:
 
 
 def read_feature_csv(path) -> FeatureMatrix:
+    """Read a feature CSV; a malformed header, cell or row raises DataError."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["digest", "label"]:
-            raise DataError(f"bad feature CSV header in {path}")
-        col_index = [int(c[1:]) for c in header[2:]]
-        digests, labels, rows = [], [], []
-        for line in fh:
-            cells = line.strip().split(",")
-            if not cells or cells == [""]:
-                continue
-            digests.append(cells[0])
-            labels.append(cells[1])
-            rows.append([float(v) for v in cells[2:]])
-    return FeatureMatrix(
-        rows=np.array(rows, dtype=np.float64),
-        col_index=col_index,
-        labels=labels,
-        digests=digests,
-    )
+        try:
+            header = fh.readline().strip().split(",")
+            if header[:2] != ["digest", "label"]:
+                raise DataError(f"bad feature CSV header in {path}")
+            col_index = [int(c[1:]) for c in header[2:]]
+            digests, labels, rows = [], [], []
+            for line in fh:
+                cells = line.strip().split(",")
+                if not cells or cells == [""]:
+                    continue
+                digests.append(cells[0])
+                labels.append(cells[1])
+                rows.append([float(v) for v in cells[2:]])
+            return FeatureMatrix(
+                rows=np.array(rows, dtype=np.float64),
+                col_index=col_index,
+                labels=labels,
+                digests=digests,
+            )
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}: bad feature CSV: {exc}") from None
 
 
 def prune_correlated(matrix: FeatureMatrix, cutoff: float = 0.8) -> FeatureMatrix:

@@ -98,15 +98,19 @@ class TrainedForest:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedForest":
+        """Read a forest file; one that is not a saved forest raises DataError."""
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(
-            trees=[TreeNode.from_dict(t) for t in doc["trees"]],
-            config=ForestConfig(**doc["config"]),
-            feature_cols=list(doc["feature_cols"]),
-            cutoff=doc["cutoff"],
-            calibration=doc.get("calibration"),
-        )
+            try:
+                doc = json.load(fh)
+                return cls(
+                    trees=[TreeNode.from_dict(t) for t in doc["trees"]],
+                    config=ForestConfig(**doc["config"]),
+                    feature_cols=list(doc["feature_cols"]),
+                    cutoff=doc["cutoff"],
+                    calibration=doc.get("calibration"),
+                )
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise DataError(f"{path}: not a forest file: {exc!r}") from None
 
 
 def _weighted_gini_cost(
@@ -243,12 +247,6 @@ def score(forest: TrainedForest, row: np.ndarray) -> float:
 def score_rows(forest: TrainedForest, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     return np.array([score(forest, r) for r in rows])
-
-
-def predict(forest: TrainedForest, row: np.ndarray) -> bool:
-    if forest.cutoff is None:
-        raise DataError("forest is not calibrated; no cutoff set")
-    return score(forest, row) >= forest.cutoff
 
 
 def _stratified_folds(

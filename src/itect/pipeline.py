@@ -58,26 +58,29 @@ class Verdict:
 
     @classmethod
     def from_json(cls, line: str) -> "Verdict":
-        d = json.loads(line)
-        sv = None
-        if d["slamm"] is not None:
-            sv = slamm.SlammVerdict(
-                cx=d["slamm"]["cx"],
-                cd=d["slamm"]["cd"],
-                cmse=d["slamm"]["cmse"],
-                overall=d["slamm"]["overall"],
-                diagnostics=d["slamm"]["diagnostics"],
+        try:
+            d = json.loads(line)
+            sv = None
+            if d["slamm"] is not None:
+                sv = slamm.SlammVerdict(
+                    cx=d["slamm"]["cx"],
+                    cd=d["slamm"]["cd"],
+                    cmse=d["slamm"]["cmse"],
+                    overall=d["slamm"]["overall"],
+                    diagnostics=d["slamm"]["diagnostics"],
+                )
+            return cls(
+                digest=d["digest"],
+                ents_verdict=d["ents_verdict"],
+                ents_score=d["ents_score"],
+                slamm_verdict=sv,
+                itect_verdict=d["itect_verdict"],
+                ents_abstained=d["ents_abstained"],
+                slamm_abstained=d["slamm_abstained"],
+                timings=d.get("timings", {}),
             )
-        return cls(
-            digest=d["digest"],
-            ents_verdict=d["ents_verdict"],
-            ents_score=d["ents_score"],
-            slamm_verdict=sv,
-            itect_verdict=d["itect_verdict"],
-            ents_abstained=d["ents_abstained"],
-            slamm_abstained=d["slamm_abstained"],
-            timings=d.get("timings", {}),
-        )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"bad verdict line: {exc!r}") from None
 
 
 @dataclass
@@ -161,8 +164,8 @@ def itect_classify(
     digest: str,
     trained_forest: forest_mod.TrainedForest,
     ents_params: ents.EntsParams,
-    malware_models: Sequence[tuple[slamm.NgramModel, slamm.NgramHistogram]],
-    benign_model: tuple[slamm.NgramModel, slamm.NgramHistogram],
+    malware_models: Sequence[slamm.NgramModel],
+    benign_model: slamm.NgramModel,
 ) -> Verdict:
     """OR of the two detectors, with both sub-verdicts kept for audit."""
     timings: dict[str, float] = {}
@@ -180,8 +183,7 @@ def itect_classify(
         ents_verdict = ents_score >= trained_forest.cutoff
     timings["ents"] = time.perf_counter() - t0
 
-    n = benign_model[0].n
-    slamm_abstained = len(data) < n
+    slamm_abstained = len(data) < benign_model.n
     sv = None
     t0 = time.perf_counter()
     if not slamm_abstained:

@@ -461,16 +461,16 @@ class NgramModel:
 class NgramHistogram:
     """Raw n-gram probability masses.
 
-    Suspects and pooled zoos are sparse: sorted ``keys`` with aligned
-    ``probs``. A zoo model's histogram (:meth:`NgramModel.histogram`) is
-    a count view instead: ``lookup(codes)`` is ``counts[codes] / total``
-    read from the model's top-order count array in place.
+    A suspect's histogram is sparse: sorted ``keys`` with aligned
+    ``probs``. A zoo's (:meth:`NgramModel.histogram`) is a count view
+    instead: ``lookup(codes)`` is ``counts[codes] / total`` read from the
+    model's top-order count array in place.
     """
 
     n: int
     support_size: int
-    _keys: np.ndarray | None = None
-    _probs: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    probs: np.ndarray | None = None
     _counts: np.ndarray | None = field(default=None, repr=False)
     _total: int = 0
     _sumsq: float | None = field(default=None, repr=False)
@@ -480,7 +480,7 @@ class NgramHistogram:
         codes = encode_ngrams(data, n, np.int32 if 256**n <= 1 << 31 else np.int64)
         keys, counts = _sorted_runs(codes)
         probs = counts / counts.sum()
-        return cls(n=n, support_size=len(keys), _keys=keys.astype(np.int64), _probs=probs)
+        return cls(n=n, support_size=len(keys), keys=keys.astype(np.int64), probs=probs)
 
     @classmethod
     def from_masses(cls, masses: dict[bytes, float], n: int) -> "NgramHistogram":
@@ -490,29 +490,16 @@ class NgramHistogram:
         probs = np.array(
             [masses[k.item().to_bytes(n, "big")] for k in keys], dtype=np.float64
         )
-        return cls(n=n, support_size=len(keys), _keys=keys, _probs=probs)
-
-    @property
-    def keys(self) -> np.ndarray:
-        if self._keys is None:
-            self._keys = np.flatnonzero(self._counts)
-        return self._keys
-
-    @property
-    def probs(self) -> np.ndarray:
-        """Masses aligned with :attr:`keys`."""
-        if self._probs is None:
-            self._probs = self._counts[self.keys] / self._total
-        return self._probs
+        return cls(n=n, support_size=len(keys), keys=keys, probs=probs)
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Masses at the given codes; zero where absent."""
         if self._counts is not None:
             return self._counts[codes] / self._total
-        pos = np.searchsorted(self._keys, codes)
-        pos = np.clip(pos, 0, len(self._keys) - 1)
-        hit = self._keys[pos] == codes
-        return np.where(hit, self._probs[pos], 0.0)
+        pos = np.searchsorted(self.keys, codes)
+        pos = np.clip(pos, 0, len(self.keys) - 1)
+        hit = self.keys[pos] == codes
+        return np.where(hit, self.probs[pos], 0.0)
 
     def sum_of_squares(self) -> float:
         if self._sumsq is None:
@@ -526,19 +513,9 @@ class NgramHistogram:
         }
 
 
-def histogram(source: bytes | Sequence[bytes], n: int) -> NgramHistogram:
-    """Raw n-gram histogram of one byte string or a pooled zoo."""
-    if isinstance(source, (bytes, bytearray)):
-        return NgramHistogram.from_data(bytes(source), n)
-    codes = np.concatenate([encode_ngrams(doc, n) for doc in source if len(doc) >= n])
-    keys, counts = _sorted_runs(codes)
-    return NgramHistogram(
-        n=n, support_size=len(keys), _keys=keys, _probs=counts / counts.sum()
-    )
-
-
 def _top_counts(model: NgramModel, p: NgramHistogram) -> np.ndarray:
-    """The model's top-order counts at the suspect's distinct n-grams."""
+    """The model's top-order counts at the suspect's distinct n-grams;
+    a suspect of another order raises DataError."""
     if p.n != model.n:
         raise DataError(f"histogram order {p.n} does not match model order {model.n}")
     return model.counts[model.n - 1][p.keys]
@@ -608,38 +585,34 @@ class SlammVerdict:
 
 
 def slamm_classify(
-    data: bytes,
-    malware_models: Sequence[tuple[NgramModel, NgramHistogram]],
-    benign: tuple[NgramModel, NgramHistogram],
+    data: bytes, malware_models: Sequence[NgramModel], benign: NgramModel
 ) -> SlammVerdict:
     """Unanimous AND of the three classifiers, each OR-ed across zoos.
 
     Every zoo is scored from one histogram of the suspect and one
-    gather of the zoo's top-order counts at its keys, which also gives
-    the zoo's masses when ``hist`` is the model's count view. Ties
-    resolve to benign: every comparison is a strict "<".
+    gather of the zoo's top-order counts at its keys: cross-entropy
+    smooths the counts, KLD and MSE divide them by the zoo's total.
+    Ties resolve to benign: every comparison is a strict "<".
     """
     if not malware_models:
         raise DataError("need at least one malware model")
-    p_hist = NgramHistogram.from_data(data, benign[0].n)
+    p_hist = NgramHistogram.from_data(data, benign.n)
 
-    def scores(model: NgramModel, hist: NgramHistogram) -> dict[str, float]:
+    def scores(model: NgramModel) -> dict[str, float]:
         top = _top_counts(model, p_hist)
-        if hist._counts is model.counts[model.n - 1]:
-            qv = top / hist._total
-        else:
-            qv = hist.lookup(p_hist.keys)
+        hist = model.histogram()
+        qv = top / hist._total
         return {
             "cross_entropy": cross_entropy(model, p_hist, top),
             "kld": kld(p_hist, hist, qv=qv),
             "mse": mse(hist, p_hist, qv=qv),
         }
 
-    base = scores(*benign)
+    base = scores(benign)
     diagnostics = {"benign": base}
     cx = cd = cmse = False
-    for model, hist in malware_models:
-        zoo = scores(model, hist)
+    for model in malware_models:
+        zoo = scores(model)
         diagnostics[model.zoo_id or f"zoo{len(diagnostics)}"] = zoo
         cx = cx or zoo["cross_entropy"] < base["cross_entropy"]
         cd = cd or zoo["kld"] < base["kld"]

@@ -122,4 +122,4 @@ def synth_corpus(
                 digest=hashlib.sha256(data).hexdigest(),
             )
         )
-    return CorpusManifest(entries=tuple(entries), split_pending=True)
+    return CorpusManifest(entries=tuple(entries))

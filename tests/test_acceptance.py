@@ -97,9 +97,7 @@ def pipeline_run(tmp_path_factory):
                 out_dir=root / profile,
             )
         )
-    merged = corpus.CorpusManifest(
-        entries=tuple(e for m in parts for e in m), split_pending=True
-    )
+    merged = corpus.CorpusManifest(entries=tuple(e for m in parts for e in m))
     # train two thirds, held-out test third (no separate validation split;
     # calibration cross-validates inside the training set)
     manifest = corpus.split_manifest(
@@ -144,10 +142,9 @@ def pipeline_run(tmp_path_factory):
             entries = [e for e in train if e.label == "benign"]
         else:
             entries = [e for e in train if e.category == category]
-        model = slamm.NgramModel.train(
+        return slamm.NgramModel.train(
             (corpus.load_sample(e.path) for e in entries), n=3, zoo_id=category
         )
-        return model, model.histogram()
 
     malware_models = [zoo(c) for c in ("polymorphic", "metamorphic", "packed")]
     benign_model = zoo("benign")
@@ -325,17 +322,13 @@ def test_criterion_6_scalability(scaling_files, capsys):
         ben = slamm.NgramModel.train(
             [f for f in files[:60][0::2]], n=3, zoo_id="b"
         )
-        malware_models = [(mal, mal.histogram())]
-        benign_model = (ben, ben.histogram())
 
         def classify_time(n):
             best = math.inf
             for _ in range(3):
                 t0 = time.perf_counter()
                 for f in files[:n]:
-                    pipeline.itect_classify(
-                        f, "x", trained, params, malware_models, benign_model
-                    )
+                    pipeline.itect_classify(f, "x", trained, params, [mal], ben)
                 best = min(best, time.perf_counter() - t0)
             return best
 

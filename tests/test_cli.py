@@ -55,6 +55,20 @@ class TestExitCodes:
         rc = run("split", "--manifest", str(tmp_path / "nope.jsonl"), "--seed", "1")
         assert rc == 2
 
+    def test_manifest_that_is_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "m.jsonl"
+        bad.write_text("not json\n")
+        assert run("split", "--manifest", str(bad), "--seed", "1") == 2
+        assert "itect: data error" in capsys.readouterr().err
+
+    def test_verdicts_that_are_not_json(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "v.jsonl"
+        bad.write_text('{"digest": \n')
+        rc = run("eval", "--verdicts", str(bad), "--manifest",
+                 str(workspace["manifest"]), "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert "itect: data error" in capsys.readouterr().err
+
     def test_bad_fraction_is_data_error(self, workspace, capsys):
         rc = run(
             "split", "--manifest", str(workspace["manifest"]),
@@ -296,14 +310,14 @@ class TestPipelineCommands:
         )
         assert rc == 2
 
-    def _classify(self, trained, out, *files, benign=None):
+    def _classify(self, trained, out, *files, forest=None, params=None, benign=None):
         mal = ",".join(
             str(trained["models"][c])
             for c in ("polymorphic", "metamorphic", "packed")
         )
         return run(
-            "classify", "--ents", str(trained["forest"]),
-            "--ents-params", str(trained["params"]),
+            "classify", "--ents", str(forest or trained["forest"]),
+            "--ents-params", str(params or trained["params"]),
             "--slamm", mal, "--benign", str(benign or trained["models"]["benign"]),
             "--out", str(out), *files,
         )
@@ -367,6 +381,66 @@ class TestPipelineCommands:
         rc = self._classify(trained, tmp_path / "v.jsonl", good, benign=cut)
         assert rc == 2
         assert "itect: data error: truncated model file" in capsys.readouterr().err
+
+    def test_classify_zoo_order_mismatch_is_data_error(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        # Bigram malware zoos against a trigram benign zoo.
+        benign = tmp_path / "benign3.slmm"
+        assert run("slamm-train", "--manifest", str(workspace["manifest"]),
+                   "--category", "benign", "--split", "train", "--n", "3",
+                   "--out", str(benign)) == 0
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        rc = self._classify(trained, tmp_path / "v.jsonl", good, benign=benign)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "itect: data error: histogram order 3 does not match model order 2" in err
+
+    @pytest.mark.parametrize("n", ["0", "4"])
+    def test_slamm_train_order_out_of_range_is_usage_error(
+        self, workspace, tmp_path, capsys, n
+    ):
+        rc = run("slamm-train", "--manifest", str(workspace["manifest"]),
+                 "--category", "benign", "--n", n, "--out", str(tmp_path / "z.slmm"))
+        assert rc == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_forest_that_is_json_but_not_a_forest(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        bad = tmp_path / "forest.json"
+        bad.write_text(json.dumps({"cutoff": 0.5}))
+        assert self._classify(trained, tmp_path / "v.jsonl", good, forest=bad) == 2
+        assert "itect: data error" in capsys.readouterr().err
+
+    def test_truncated_forest(self, workspace, trained, tmp_path, capsys):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        bad = tmp_path / "forest.json"
+        text = trained["forest"].read_text()
+        bad.write_text(text[: len(text) // 2])
+        assert self._classify(trained, tmp_path / "v.jsonl", good, forest=bad) == 2
+        assert "itect: data error" in capsys.readouterr().err
+
+    def test_params_without_alpha(self, workspace, trained, tmp_path, capsys):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        doc = json.loads(trained["params"].read_text())
+        del doc["alpha"]
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(doc))
+        assert self._classify(trained, tmp_path / "v.jsonl", good, params=bad) == 2
+        assert "itect: data error" in capsys.readouterr().err
+
+    def test_feature_cell_that_is_not_a_number(self, trained, tmp_path, capsys):
+        header, first, *rest = trained["features"].read_text().splitlines()
+        cells = first.split(",")
+        cells[2] = "abc"
+        bad = tmp_path / "f.csv"
+        bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        rc = run("train", "--features", str(bad), "--trees", "2", "--folds", "2",
+                 "--seed", "0", "--out", str(tmp_path / "forest.json"))
+        assert rc == 2
+        assert "itect: data error" in capsys.readouterr().err
 
 
 class TestIngest:

@@ -67,7 +67,7 @@ def _manifest(n_malware, n_benign):
                 split="train", size_bytes=10, digest=f"{i + 10000:064x}",
             )
         )
-    return corpus.CorpusManifest(entries=tuple(entries), split_pending=True)
+    return corpus.CorpusManifest(entries=tuple(entries))
 
 
 class TestSplitManifest:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from itect import forest
+from itect import ents, forest, pipeline, slamm
 from itect.errors import DataError
 
 
@@ -81,7 +81,7 @@ class TestCalibration:
             rows, labels, forest.ForestConfig(trees=20, seed=4), folds=5
         )
         assert f.cutoff is not None
-        preds = [forest.predict(f, r) for r in rows[labels == 0]]
+        preds = [forest.score(f, r) >= f.cutoff for r in rows[labels == 0]]
         assert not any(preds)
 
     def test_cutoff_above_benign_validation_max(self):
@@ -96,10 +96,14 @@ class TestCalibration:
         assert len(f.calibration["per_fold"]) == 5
 
     def test_uncalibrated_predict_rejected(self):
-        rows, labels = two_blob_data()
+        # The classify path refuses a forest that has no cutoff.
+        rows, labels = two_blob_data()  # 8 dims: an alpha-3 entropy profile
         f = forest.train_forest(rows, labels, forest.ForestConfig(trees=5))
-        with pytest.raises(DataError):
-            forest.predict(f, rows[0])
+        params = ents.EntsParams(chunk_size=64, alpha=3)
+        data = bytes(range(256)) * 4
+        zoo = slamm.NgramModel.train([data], n=2)
+        with pytest.raises(DataError, match="not calibrated"):
+            pipeline.itect_classify(data, "d", f, params, [zoo], zoo)
 
     def test_too_few_folds(self):
         rows, labels = two_blob_data()
@@ -123,6 +127,16 @@ class TestSerialization:
         np.testing.assert_array_equal(
             forest.score_rows(loaded, rows), forest.score_rows(f, rows)
         )
+
+    def test_too_deep_tree_is_data_error(self, tmp_path):
+        leaf = '{"malware_fraction": 0.0, "count": 1}'
+        depth = 5000  # past the interpreter's recursion limit
+        tree = '{"dim": 0, "threshold": 0.0, "left": ' * depth + leaf
+        tree += (', "right": ' + leaf + "}") * depth
+        path = tmp_path / "forest.json"
+        path.write_text('{"trees": [' + tree + "]}")
+        with pytest.raises(DataError):
+            forest.TrainedForest.load(path)
 
 
 class TestRocPoints:

@@ -185,8 +185,8 @@ def tiny_detectors():
     return {
         "forest": f,
         "params": params,
-        "malware": [(mal_model, slamm.histogram(malware_files, 2))],
-        "benign": (ben_model, slamm.histogram(benign_files, 2)),
+        "malware": [mal_model],
+        "benign": ben_model,
     }
 
 

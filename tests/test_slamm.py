@@ -178,7 +178,7 @@ class TestSmoothing:
         data = np.random.default_rng(0).integers(0, 256, 1000)
         data = data.astype(np.uint8).tobytes()
         assert slamm.cross_entropy(
-            model, slamm.histogram(data, model.n)
+            model, slamm.NgramHistogram.from_data(data, model.n)
         ) == pytest.approx(8.0, abs=1e-12)
 
     def test_conditional_distribution_normalizes(self):
@@ -215,7 +215,7 @@ class TestSmoothing:
             b"abcabcabd" * 20,
             bytes(range(n)),
         ):
-            ce = slamm.cross_entropy(model, slamm.histogram(data, n))
+            ce = slamm.cross_entropy(model, slamm.NgramHistogram.from_data(data, n))
             expect = -model.sequence_logprob(data) / (len(data) - n + 1)
             assert ce == pytest.approx(expect, abs=1e-12)
 
@@ -236,8 +236,9 @@ class TestSmoothing:
 
     def test_cross_entropy_order_mismatch(self):
         model = slamm.NgramModel.train([b"abracadabra"], n=2)
+        p = slamm.NgramHistogram.from_data(b"abracadabra", 3)
         with pytest.raises(DataError):
-            slamm.cross_entropy(model, slamm.histogram(b"abracadabra", 3))
+            slamm.cross_entropy(model, p)
 
     def test_unseen_floor(self):
         model = slamm.NgramModel.train([b"aaaa"], n=1)
@@ -299,11 +300,9 @@ class TestSerialization:
         assert loaded.smoothing == model.smoothing
         for a, b in zip(model.counts, loaded.counts):
             np.testing.assert_array_equal(a, b)
-        data = b"cabana"
-        assert slamm.cross_entropy(
-            loaded, slamm.histogram(data, model.n)
-        ) == pytest.approx(
-            slamm.cross_entropy(model, slamm.histogram(data, model.n)), abs=1e-12
+        p = slamm.NgramHistogram.from_data(b"cabana", model.n)
+        assert slamm.cross_entropy(loaded, p) == pytest.approx(
+            slamm.cross_entropy(model, p), abs=1e-12
         )
 
     def test_bad_magic(self, tmp_path):
@@ -454,43 +453,52 @@ class TestSlammClassifyDiagnostics:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_diagnostics_equal_standalone_scores(self, tmp_path, synth_files, n):
         docs, suspects = synth_files
-        pairs = {}
+        models = {}
         for zoo, zoo_docs in docs.items():
             path = tmp_path / f"{zoo}.slmm"
             slamm.NgramModel.train(zoo_docs, n=n, zoo_id=zoo).save(path)
-            model = slamm.NgramModel.load(path)
-            pairs[zoo] = (model, model.histogram())
-        benign = pairs.pop("benign")
+            models[zoo] = slamm.NgramModel.load(path)
+        benign = models.pop("benign")
         for data in suspects:
-            v = slamm.slamm_classify(data, list(pairs.values()), benign)
-            p = slamm.histogram(data, n)
-            for zoo, (model, hist) in {"benign": benign, **pairs}.items():
+            v = slamm.slamm_classify(data, list(models.values()), benign)
+            p = slamm.NgramHistogram.from_data(data, n)
+            for zoo, model in {"benign": benign, **models}.items():
                 got = v.diagnostics[zoo]
+                hist = model.histogram()
                 assert got["cross_entropy"] == slamm.cross_entropy(model, p)
                 assert got["kld"] == slamm.kld(p, hist)
                 assert got["mse"] == pytest.approx(slamm.mse(hist, p), rel=1e-15, abs=0)
 
 
+def _pooled_counts(docs, n):
+    """Distinct n-gram codes over all documents and their counts."""
+    codes = np.concatenate([slamm.encode_ngrams(d, n) for d in docs])
+    return np.unique(codes, return_counts=True)
+
+
 class TestHistogram:
     def test_from_data_golden(self):
-        h = slamm.histogram(b"abab", 2)
+        h = slamm.NgramHistogram.from_data(b"abab", 2)
         assert h.as_dict() == {b"ab": pytest.approx(2 / 3), b"ba": pytest.approx(1 / 3)}
 
     def test_pooled_zoo(self):
-        h = slamm.histogram([b"ab", b"ab", b"cd"], 2)
-        assert h.as_dict() == {b"ab": pytest.approx(2 / 3), b"cd": pytest.approx(1 / 3)}
+        # A zoo's masses pool the n-grams of all its documents.
+        h = slamm.NgramModel.train([b"ab", b"ab", b"cd"], n=2).histogram()
+        got = h.lookup(np.array([0x6162, 0x6364, 0x6263]))
+        np.testing.assert_allclose(got, [2 / 3, 1 / 3, 0.0], rtol=1e-15)
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(2)
         data = rng.integers(0, 64, 5000).astype(np.uint8).tobytes()
-        h = slamm.histogram(data, 3)
+        h = slamm.NgramHistogram.from_data(data, 3)
         assert h.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_model_histogram_matches_raw(self):
         docs = [b"abracadabra", b"banana"]
-        model = slamm.NgramModel.train(docs, n=2)
-        raw = slamm.histogram(docs, 2)
-        assert model.histogram().as_dict() == pytest.approx(raw.as_dict())
+        keys, counts = _pooled_counts(docs, 2)
+        h = slamm.NgramModel.train(docs, n=2).histogram()
+        assert h.support_size == len(keys)
+        assert h.lookup(keys) == pytest.approx(counts / counts.sum())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_count_view_scores_like_pooled(self, n):
@@ -500,10 +508,13 @@ class TestHistogram:
         docs = [b"abracadabra", b"banana"]
         docs += [rng.integers(0, 32, 1500).astype(np.uint8).tobytes() for _ in range(3)]
         view = slamm.NgramModel.train(docs, n=n).histogram()
-        raw = slamm.histogram(docs, n)
+        keys, counts = _pooled_counts(docs, n)
+        raw = slamm.NgramHistogram(
+            n=n, support_size=len(keys), keys=keys, probs=counts / counts.sum()
+        )
         assert view.support_size == raw.support_size
         for suspect in (docs[0], rng.integers(0, 40, 800).astype(np.uint8).tobytes()):
-            p = slamm.histogram(suspect, n)
+            p = slamm.NgramHistogram.from_data(suspect, n)
             assert slamm.kld(p, view) == pytest.approx(slamm.kld(p, raw), abs=1e-12)
             assert slamm.mse(view, p) == pytest.approx(slamm.mse(raw, p), abs=1e-12)
 
@@ -518,14 +529,14 @@ class TestHistogram:
         np.testing.assert_array_equal(h.probs, counts / counts.sum())
 
     def test_lookup_misses_are_zero(self):
-        h = slamm.histogram(b"abab", 2)
+        h = slamm.NgramHistogram.from_data(b"abab", 2)
         out = h.lookup(np.array([0x6162, 0x7878]))
         assert out[0] > 0 and out[1] == 0.0
 
 
 class TestKld:
     def test_identical_is_zero(self):
-        p = slamm.histogram(b"abracadabra", 2)
+        p = slamm.NgramHistogram.from_data(b"abracadabra", 2)
         assert slamm.kld(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_two_point(self):
@@ -571,7 +582,7 @@ class TestMse:
         assert slamm.mse(model, p) == pytest.approx(0.25, abs=1e-12)
 
     def test_identical_is_zero(self):
-        h = slamm.histogram(b"abracadabra", 2)
+        h = slamm.NgramHistogram.from_data(b"abracadabra", 2)
         assert slamm.mse(h, h) == pytest.approx(0.0, abs=1e-15)
 
     def test_mass_outside_model_support_ignored(self):
@@ -598,8 +609,7 @@ class TestMse:
 
 
 def _zoo(docs, n=2, zoo_id=""):
-    model = slamm.NgramModel.train(docs, n=n, zoo_id=zoo_id)
-    return model, slamm.histogram(docs, n)
+    return slamm.NgramModel.train(docs, n=n, zoo_id=zoo_id)
 
 
 class TestClassifiers:
