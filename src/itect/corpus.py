@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from .errors import DataError
 
@@ -23,9 +24,16 @@ CATEGORIES = ("polymorphic", "metamorphic", "packed", "benign", "unknown")
 SPLITS = ("train", "validation", "test")
 
 _HEX_PAIRS = set("0123456789abcdefABCDEF")
-# A dump line in the common layout: hex offset, optional colon, then
-# space- or tab-separated byte pairs or "??".
-_PLAIN_LINE = re.compile(r"([0-9A-Fa-f]+):?((?:[ \t]+(?:[0-9A-Fa-f]{2}|\?\?))*)")
+# bytes.translate table of the one-pass decoder: a hex digit maps to its
+# value, "?" to 16, ":" to 32, space, tab and CR to 64, LF to 128. Any
+# other byte maps to 255 and sends the text to the line decoder.
+_QMARK, _COLON, _BLANK, _LF, _OTHER = 16, 32, 64, 128, 255
+_CODE_OF = {c: int(c, 16) for c in _HEX_PAIRS}
+_CODE_OF.update({"?": _QMARK, ":": _COLON, " ": _BLANK, "\t": _BLANK,
+                 "\r": _BLANK, "\n": _LF})
+_CODES = bytes(_CODE_OF.get(chr(b), _OTHER) for b in range(256))
+# Offsets of at most 15 hex digits fit an int64.
+_MAX_OFFSET_DIGITS = 15
 
 
 @dataclass(frozen=True)
@@ -199,27 +207,80 @@ def split_manifest(
     return CorpusManifest(entries=tuple(out))
 
 
-def hexdump_to_bytes(text: str | Iterable[str]) -> bytes:
+def hexdump_to_bytes(text: str) -> bytes:
     """Decode "offset hex-pairs" dump lines into raw bytes.
 
     ``??`` pairs decode to 0x00. Offsets must equal the number of bytes
     decoded so far (monotone, gap-free). Blank lines are ignored. Errors
-    name the line. A plain line (hex offset, optional ``:``, pairs
-    separated by spaces or tabs) is decoded in one ``bytes.fromhex``
-    call; any other line is parsed token by token.
+    name the line. A dump in the plain layout (ASCII; a hex offset of at
+    most 15 digits with at most one ``:``, then pairs separated by
+    spaces or tabs; LF or CRLF line ends) is decoded in one vectorised
+    pass over the whole text. Any other text is parsed line by line and
+    token by token, with the same result and the same errors.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
+    data = _decode_plain(text)
+    return _decode_lines(text) if data is None else data
+
+
+def _decode_plain(text: str) -> bytes | None:
+    """Decode a dump in the plain layout, or return None for any other
+    text (including every text that is not a valid dump)."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    codes = raw.translate(_CODES)
+    if bytes([_OTHER]) in codes:
+        return None
+    code = np.frombuffer(codes, dtype=np.uint8)
+    word = np.zeros(len(code) + 2, dtype=bool)
+    word[1:-1] = code <= _COLON
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    if not len(starts):
+        return b""
+    # A line's first token is its offset: the first token after each LF,
+    # and the very first token.
+    first = np.zeros(len(starts) + 1, dtype=bool)
+    first[np.searchsorted(starts, np.flatnonzero(code == _LF))] = True
+    first[0] = True
+    first = first[:-1]
+
+    pairs = starts[~first]
+    if (ends[~first] - pairs != 2).any():
+        return None
+    hi, lo = code[pairs], code[pairs + 1]
+    # Two hex digits, or "??" (no hex digit or ":" shares the 16 bit).
+    if not (((hi | lo) < _QMARK) | ((hi & lo) == _QMARK)).all():
+        return None
+    out = ((hi & 15) << 4) | (lo & 15)
+
+    off_starts, off_ends = starts[first], ends[first]
+    digits = off_ends - off_starts - (code[off_ends - 1] == _COLON)
+    if digits.min() < 1 or digits.max() > _MAX_OFFSET_DIGITS:
+        return None
+    offsets = np.zeros(len(off_starts), dtype=np.int64)
+    for col in range(int(digits.max())):
+        rows = digits > col
+        digit = code[off_starts[rows] + col]
+        if (digit >= _QMARK).any():
+            return None
+        offsets[rows] = offsets[rows] * 16 + digit
+    line_pairs = np.diff(np.append(np.flatnonzero(first), len(starts))) - 1
+    expected = np.concatenate(([0], np.cumsum(line_pairs)[:-1]))
+    if (offsets != expected).any():
+        return None
+    return out.tobytes()
+
+
+def _decode_lines(text: str) -> bytes:
+    """Decode any text line by line and token by token; each error names
+    its line."""
     out = bytearray()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
-            continue
-        plain = _PLAIN_LINE.fullmatch(line)
-        if plain and int(plain[1], 16) == len(out):
-            out += bytes.fromhex(plain[2].replace("??", "00"))
             continue
         tokens = line.split()
         off_tok = tokens[0].rstrip(":")

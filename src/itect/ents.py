@@ -28,6 +28,10 @@ class EntsParams:
     tau: float = 0.5
 
     def __post_init__(self):
+        for name in ("chunk_size", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if self.alpha < 1:

@@ -431,6 +431,19 @@ class TestPipelineCommands:
         assert self._classify(trained, tmp_path / "v.jsonl", good, params=bad) == 2
         assert "itect: data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("alpha", 3.5), ("alpha", True),
+                                             ("chunk_size", 256.0)])
+    def test_params_with_non_integer_field(
+        self, workspace, trained, tmp_path, capsys, field, value
+    ):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        doc = json.loads(trained["params"].read_text())
+        doc[field] = value
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(doc))
+        assert self._classify(trained, tmp_path / "v.jsonl", good, params=bad) == 2
+        assert "itect: data error" in capsys.readouterr().err
+
     def test_feature_cell_that_is_not_a_number(self, trained, tmp_path, capsys):
         header, first, *rest = trained["features"].read_text().splitlines()
         cells = first.split(",")

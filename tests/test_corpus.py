@@ -209,7 +209,35 @@ class TestHexdump:
     @example("0x0 4D\n0x1\u00a05A")
     @example("0000:: 4D\t5A\n00000002 ??")
     @example("0000 4D\n0000 5A")
+    @example("00000000 4D 5A\r\n00000002: 90\r\n00000003 ??\r\n")
+    @example("00000000 4D\r00000001 5A")
+    @example("00 4D\r01 5A")
+    @example("00000000 4D\n00000001 5A")
+    @example("00000000 4D\n \t\n\t\n00000001 5A\n  \n")
+    @example("00000000\n00000000 4D\n00000001\n00000001 5A\n00000002")
+    @example("00000000000000000000 4D 5A")
+    @example("10000000000000000 4D")
+    @example("000000000000000 4D\n0000000000000001 5A")
+    @example("0000:: 4D")
+    @example("0x0 4D")
+    @example("00000000 ABCD")
+    @example("00000000 ?A")
+    @example("00000000 ???")
+    @example("00000000 4D:\n: 5A")
+    @example("00000000 :: 4D")
+    @example("0" + " 00" * 16 + "\n? 4D")
+    @example("00000000\x0b4D\x0c5A")
+    @example("00000000\x0c00000000 4D")
+    @example("00000000\u30004D\u30005A")
     def test_matches_token_decoder(self, text):
+        self._check_against_token_decoder(text)
+
+    @given(st.text())
+    def test_any_text_matches_token_decoder(self, text):
+        self._check_against_token_decoder(text)
+
+    @staticmethod
+    def _check_against_token_decoder(text):
         try:
             expect = token_decoder(text)
         except DataError as exc:
@@ -219,9 +247,35 @@ class TestHexdump:
         else:
             assert corpus.hexdump_to_bytes(text) == expect
 
-    @given(st.binary(min_size=0, max_size=200))
-    def test_round_trip(self, data):
-        assert corpus.hexdump_to_bytes(corpus.bytes_to_hexdump(data)) == data
+    @given(st.binary(min_size=0, max_size=200), st.booleans(), st.booleans(),
+           st.booleans())
+    def test_round_trip(self, data, colon, crlf, lower):
+        text = corpus.bytes_to_hexdump(data)
+        if colon:
+            text = text.replace(" ", ": ", 1)
+        if crlf:
+            text = text.replace("\n", "\r\n")
+        if lower:
+            text = text.lower()
+        assert corpus.hexdump_to_bytes(text) == data
+        # The plain layout decodes in the one pass, never line by line.
+        assert corpus._decode_plain(text) == data
+
+
+class TestLoadSampleFuzz:
+    @given(
+        st.binary(max_size=400)
+        | st.text(max_size=200).map(str.encode)
+        | dump_lines().map(str.encode)
+    )
+    def test_hexdump_file_loads_or_is_data_error(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bytes"
+        path.write_bytes(content)
+        try:
+            data = corpus.load_sample(path)
+        except DataError:
+            return
+        assert isinstance(data, bytes)
 
 
 class TestManifestIO:
