@@ -286,6 +286,12 @@ def _cmd_classify(args) -> int:
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{args.ents_params}: bad EnTS parameters: {exc!r}") from None
+    last_col = max(trained.feature_cols, default=-1)
+    if last_col >= params.n_points:
+        raise DataError(
+            f"{args.ents}: feature column {last_col} is outside "
+            f"the {params.n_points}-point entropy profile"
+        )
     malware, benign = _load_slamm_models(args.slamm, args.benign)
     t0 = time.perf_counter()
     lines = []

@@ -45,15 +45,34 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
+    def from_dict(cls, d: dict, dims: int) -> "TreeNode":
+        """The tree saved as ``d``; a split dim outside [0, dims) or a
+        threshold or leaf fraction that is not a number raises ValueError."""
         if "dim" in d:
+            dim = d["dim"]
+            if not _is_int(dim) or not 0 <= dim < dims:
+                raise ValueError(f"split dim {dim!r} outside [0, {dims})")
             return cls(
-                dim=d["dim"],
-                threshold=d["threshold"],
-                left=cls.from_dict(d["left"]),
-                right=cls.from_dict(d["right"]),
+                dim=dim,
+                threshold=_real(d["threshold"], "threshold"),
+                left=cls.from_dict(d["left"], dims),
+                right=cls.from_dict(d["right"], dims),
             )
-        return cls(malware_fraction=d["malware_fraction"], count=d["count"])
+        return cls(
+            malware_fraction=_real(d["malware_fraction"], "malware_fraction"),
+            count=d["count"],
+        )
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _real(x, what: str) -> float:
+    """``x`` as a float; a value that is not a JSON number raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} {x!r} is not a number")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -98,18 +117,27 @@ class TrainedForest:
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedForest":
-        """Read a forest file; one that is not a saved forest raises DataError."""
+        """Read a forest file; one that is not a saved forest, or that
+        could not score a row, raises DataError."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
+                cols = list(doc["feature_cols"])
+                if not all(_is_int(c) and c >= 0 for c in cols):
+                    raise ValueError(f"feature_cols {cols!r} are not column indices")
+                if not doc["trees"]:
+                    raise ValueError("no trees")
+                cutoff = doc["cutoff"]
                 return cls(
-                    trees=[TreeNode.from_dict(t) for t in doc["trees"]],
+                    trees=[TreeNode.from_dict(t, len(cols)) for t in doc["trees"]],
                     config=ForestConfig(**doc["config"]),
-                    feature_cols=list(doc["feature_cols"]),
-                    cutoff=doc["cutoff"],
+                    feature_cols=cols,
+                    cutoff=None if cutoff is None else _real(cutoff, "cutoff"),
                     calibration=doc.get("calibration"),
                 )
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            except (
+                ValueError, KeyError, TypeError, OverflowError, RecursionError
+            ) as exc:
                 raise DataError(f"{path}: not a forest file: {exc!r}") from None
 
 

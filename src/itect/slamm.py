@@ -62,37 +62,64 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
-def _read_records(fh, tables: list[np.ndarray]):
-    """Read each order's records in blocks, check them, scatter them
-    into the dense ``tables`` and yield ``(k, codes, counts)`` per block.
+def _read_blocks(fh, k: int, count: int, limit: int):
+    """Read ``count`` order-k records in blocks, check them and yield
+    ``(codes, counts)`` per block.
 
-    Codes must be in range and strictly increasing within an order, and
-    counts non-zero and within their counter, as :meth:`NgramModel.save`
-    writes them; anything else raises DataError.
+    Codes must be in range and strictly increasing, and counts non-zero
+    and at most ``limit``, as :meth:`NgramModel.save` writes them;
+    anything else raises DataError. Strictly increasing codes lie
+    between a block's first and last, so only those two are
+    range-checked unless the block is out of order.
     """
-    for k, table in enumerate(tables, 1):
+    last = -1
+    for start in range(0, count, _BLOCK):
+        rec = np.frombuffer(
+            _read_exact(fh, 16 * min(_BLOCK, count - start), f"order-{k} records"),
+            dtype=_RECORD,
+        )
+        codes = rec["g"].astype(np.int64)  # a code of 2^63 or more wraps below 0
+        increasing = codes[0] > last and bool(np.all(codes[1:] > codes[:-1]))
+        lo, hi = (codes[0], codes[-1]) if increasing else (codes.min(), codes.max())
+        if lo < 0 or hi >= 256**k:
+            raise DataError(f"order-{k} gram code out of range")
+        if not increasing:
+            raise DataError(f"order-{k} gram codes not strictly increasing")
+        counts = rec["c"]
+        if int(counts.max()) > limit:
+            raise DataError(f"order-{k} count overflows its counter")
+        if counts.min() == 0:
+            raise DataError(f"order-{k} record has a zero count")
+        last = int(codes[-1])
+        yield codes, counts
+
+
+def _read_records(fh, n: int, tables: list[np.ndarray]):
+    """Read each order's records, append its dense table to ``tables``,
+    scatter the records into it and yield ``(k, codes, counts)`` per
+    block.
+
+    An order counted by sorting (256^3 cells) gets the narrowest
+    unsigned type of its largest count: a first pass over its records
+    finds that count, and a second scatters them. Both passes check the
+    records, as the file may change between them.
+    """
+    for k in range(1, n + 1):
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, f"order-{k} record count"))
         if count > 256**k:
             raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
-        limit = np.iinfo(table.dtype).max
-        last = -1
-        for start in range(0, count, _BLOCK):
-            rec = np.frombuffer(
-                _read_exact(fh, 16 * min(_BLOCK, count - start), f"order-{k} records"),
-                dtype=_RECORD,
-            )
-            codes = rec["g"].astype(np.int64)  # a code of 2^63 or more wraps below 0
-            if codes.min() < 0 or codes.max() >= 256**k:
-                raise DataError(f"order-{k} gram code out of range")
-            if codes[0] <= last or np.any(codes[1:] <= codes[:-1]):
-                raise DataError(f"order-{k} gram codes not strictly increasing")
-            if np.any(rec["c"] > limit):
-                raise DataError(f"order-{k} count overflows its counter")
-            if not np.all(rec["c"]):
-                raise DataError(f"order-{k} record has a zero count")
-            counts = rec["c"].astype(table.dtype)
+        dtype = np.dtype(_count_dtype(k))
+        if not _bincounted(k):
+            start = fh.tell()
+            blocks = _read_blocks(fh, k, count, np.iinfo(dtype).max)
+            top = max((int(c.max()) for _, c in blocks), default=0)
+            fh.seek(start)
+            dtype = np.min_scalar_type(top)
+        table = np.zeros(256**k, dtype=dtype)
+        tables.append(table)
+        for codes, counts in _read_blocks(fh, k, count, np.iinfo(dtype).max):
+            counts = counts.astype(dtype)
             table[codes] = counts
-            last = int(codes[-1])
             yield k, codes, counts
 
 
@@ -151,9 +178,20 @@ class NgramModel:
     int32 and, per flush, sorted into runs whose counts are added into
     the dense table; the sorted distinct codes are kept, so finalize
     and save read the non-zero counts without scanning 256^k cells.
+
+    ``counts`` replaces the zeroed tables, as :meth:`load` does; a
+    loaded model holds its 256^3 table in the narrowest unsigned type
+    of its largest count, so a zoo whose counts fit in 16 bits takes
+    32 MiB, not the 64 MiB of the int32 training counter.
     """
 
-    def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
+    def __init__(
+        self,
+        n: int,
+        smoothing: SmoothingParams,
+        zoo_id: str = "",
+        counts: list[np.ndarray] | None = None,
+    ):
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > MAX_DENSE_ORDER:
@@ -163,10 +201,9 @@ class NgramModel:
         self.n = n
         self.smoothing = smoothing
         self.zoo_id = zoo_id
-        self.counts: list[np.ndarray] = [
-            np.zeros(256**k, dtype=_count_dtype(k))
-            for k in range(1, n + 1)
-        ]
+        if counts is None:
+            counts = [np.zeros(256**k, dtype=_count_dtype(k)) for k in range(1, n + 1)]
+        self.counts = counts
         self._finalized = False
         self._pending: list[list[np.ndarray]] = [[] for _ in range(n)]
         self._pending_sizes = [0] * n
@@ -341,13 +378,14 @@ class NgramModel:
         finalize. Arrays broadcast.
         """
         d = self.smoothing.discount
+        # float64 whatever the counts' integer type: legacy NumPy promotion
+        # would compute a uint8 or uint16 array minus d in float16/float32.
+        q = np.maximum(np.subtract(counts, d, dtype=np.float64), 0.0)
         if k == 1:
             t1 = max(self._total_tokens, 1)
-            q = np.maximum(counts - d, 0.0)
             q /= t1
             q += (d * self._distinct_unigrams / t1) * lower
             return q
-        q = np.maximum(counts - d, 0.0)
         q /= self._tk_safe[k - 2][ctx]
         q += self._lam[k - 2][ctx] * lower
         return q
@@ -432,7 +470,8 @@ class NgramModel:
         """Read a model file; a truncated or corrupt one raises DataError.
 
         Each block of records is tallied by finalize as it is read, so
-        loading makes no pass over the 256^n cells.
+        loading makes no pass over the 256^n cells, nor allocates an
+        int32 table for them.
         """
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -453,8 +492,9 @@ class NgramModel:
                 zoo_id = _read_exact(fh, zoo_len, "zoo id").decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError("zoo id is not UTF-8") from None
-            model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id)
-            return model.finalize(_read_records(fh, model.counts))
+            counts: list[np.ndarray] = []
+            model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id, counts=counts)
+            return model.finalize(_read_records(fh, n, counts))
 
 
 @dataclass

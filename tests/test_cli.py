@@ -422,6 +422,26 @@ class TestPipelineCommands:
         assert self._classify(trained, tmp_path / "v.jsonl", good, forest=bad) == 2
         assert "itect: data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc.update(trees=[]), id="no-trees"),
+            pytest.param(
+                lambda doc: doc["feature_cols"].__setitem__(0, 1000000),
+                id="feature-col-past-profile",
+            ),
+            pytest.param(lambda doc: doc.update(cutoff="0.5"), id="cutoff-string"),
+        ],
+    )
+    def test_forest_that_cannot_score(self, workspace, trained, tmp_path, capsys, edit):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        doc = json.loads(trained["forest"].read_text())
+        edit(doc)
+        bad = tmp_path / "forest.json"
+        bad.write_text(json.dumps(doc))
+        assert self._classify(trained, tmp_path / "v.jsonl", good, forest=bad) == 2
+        assert "itect: data error" in capsys.readouterr().err
+
     def test_params_without_alpha(self, workspace, trained, tmp_path, capsys):
         good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
         doc = json.loads(trained["params"].read_text())

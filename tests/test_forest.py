@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itect import ents, forest, pipeline, slamm
 from itect.errors import DataError
@@ -134,9 +137,119 @@ class TestSerialization:
         tree = '{"dim": 0, "threshold": 0.0, "left": ' * depth + leaf
         tree += (', "right": ' + leaf + "}") * depth
         path = tmp_path / "forest.json"
-        path.write_text('{"trees": [' + tree + "]}")
-        with pytest.raises(DataError):
+        path.write_text(
+            '{"config": {}, "cutoff": null, "feature_cols": [0], "trees": [' + tree + "]}"
+        )
+        with pytest.raises(DataError, match="RecursionError"):
             forest.TrainedForest.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: doc.update(trees=[]), id="no-trees"),
+            pytest.param(lambda doc: doc.update(cutoff="0.5"), id="cutoff-string"),
+            pytest.param(lambda doc: doc.update(cutoff=True), id="cutoff-bool"),
+            pytest.param(lambda doc: doc.update(feature_cols=[-1, 2]), id="col-negative"),
+            pytest.param(lambda doc: doc.update(feature_cols=[0, 1.0]), id="col-float"),
+            pytest.param(lambda doc: doc.update(feature_cols=[0, True]), id="col-bool"),
+            pytest.param(lambda doc: _first_split(doc).update(dim=-1), id="dim-negative"),
+            pytest.param(lambda doc: _first_split(doc).update(dim=8), id="dim-past-cols"),
+            pytest.param(lambda doc: _first_split(doc).update(dim=0.0), id="dim-float"),
+            pytest.param(lambda doc: _first_split(doc).update(dim=True), id="dim-bool"),
+            pytest.param(lambda doc: _first_split(doc).update(threshold="1"), id="threshold-string"),
+            pytest.param(lambda doc: _first_split(doc).update(threshold=None), id="threshold-null"),
+            pytest.param(lambda doc: _first_split(doc).update(threshold=10**400), id="threshold-huge"),
+            pytest.param(lambda doc: _first_leaf(doc).update(malware_fraction=[1]), id="fraction-list"),
+        ],
+    )
+    def test_forest_that_cannot_score_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "forest.json"
+        _small_forest().save(path)
+        assert forest.TrainedForest.load(path).cutoff is not None
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="not a forest file"):
+            forest.TrainedForest.load(path)
+
+    def test_uncalibrated_forest_loads(self, tmp_path):
+        path = tmp_path / "forest.json"
+        f = _small_forest()
+        f.cutoff = None
+        f.save(path)
+        assert forest.TrainedForest.load(path).cutoff is None
+
+
+def _small_forest():
+    rows, labels = two_blob_data(n_per_class=20)
+    return forest.calibrate_zero_fp(
+        rows, labels, forest.ForestConfig(trees=3, seed=2), folds=2
+    )
+
+
+def _first_split(doc):
+    return next(t for t in doc["trees"] if "dim" in t)
+
+
+def _first_leaf(doc):
+    node = doc["trees"][0]
+    while "dim" in node:
+        node = node["left"]
+    return node
+
+
+def _json_paths(node, prefix=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(child, prefix + (key,))
+
+
+# Dictionaries keyed by tree-node fields, so that some edits build new nodes.
+_NODE_KEYS = st.sampled_from(["dim", "threshold", "left", "right", "malware_fraction", "count"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NODE_KEYS, inner, max_size=4),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def saved_forest(tmp_path_factory):
+    """A small calibrated forest as JSON, and a path to write edits to."""
+    path = tmp_path_factory.mktemp("forest") / "forest.json"
+    _small_forest().save(path)
+    return json.loads(path.read_text()), path
+
+
+class TestLoadFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edited_forest_scores_or_is_data_error(self, saved_forest, data):
+        doc, path = saved_forest
+        doc = json.loads(json.dumps(doc))
+        for _ in range(data.draw(st.integers(1, 3))):
+            where = data.draw(st.sampled_from(list(_json_paths(doc))))
+            value = data.draw(_JSON_VALUES)
+            if not where:
+                doc = value
+                continue
+            parent = doc
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = forest.TrainedForest.load(path)
+        except DataError:
+            return
+        assert loaded.cutoff is None or isinstance(loaded.cutoff, float)
+        # classify scores the profile at feature_cols: one value per column.
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            s = forest.score(loaded, rng.normal(0, 3, len(loaded.feature_cols)))
+            assert 0.0 <= s <= 1.0
 
 
 class TestRocPoints:

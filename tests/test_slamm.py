@@ -1,3 +1,4 @@
+import io
 import math
 import struct
 import tracemalloc
@@ -168,6 +169,22 @@ class TestTrainingOracle:
         finally:
             tracemalloc.stop()
         assert table <= peak < 2 * table
+
+    def test_trigram_load_allocates_no_int32_table(self, synth_files, tmp_path):
+        # A zoo whose counts fit in 16 bits loads its trigram table as
+        # uint16, 32 MiB, and never allocates the 64 MiB int32 one.
+        table = 256**3 * np.dtype(np.int32).itemsize
+        path = tmp_path / "zoo.slmm"
+        slamm.NgramModel.train(synth_files[0]["benign"] + [b"\0" * 1000], n=3).save(path)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded = slamm.NgramModel.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.counts[2].dtype == np.uint16
+        assert table // 2 <= peak < table
 
 
 class TestSmoothing:
@@ -381,6 +398,64 @@ class TestSerialization:
         with pytest.raises(DataError, match=match):
             slamm.NgramModel.load(path)
 
+    def test_count_grown_between_passes_is_data_error(self, tmp_path):
+        # The trigram table's type comes from a first pass over the
+        # records; a count that outgrows it by the second pass must be
+        # refused, not wrapped into the uint8 table.
+        path = tmp_path / "m.slmm"
+        slamm.NgramModel.train([b"abracadabra"], n=3, zoo_id="zoo").save(path)
+        raw = path.read_bytes()
+        grown = _patch_record(raw, order=3, count=1000)
+
+        class GrowsOnSeekBack(io.BytesIO):
+            def seek(self, pos, whence=0):
+                if pos < self.tell():
+                    self.getbuffer()[:] = grown
+                return super().seek(pos, whence)
+
+        fh = GrowsOnSeekBack(raw)
+        fh.seek(_order_offset(raw, 1))
+        with pytest.raises(DataError, match="order-3 count overflows"):
+            list(slamm._read_records(fh, 3, []))
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    """The bytes of a small saved trigram model and a path to write edits to."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.slmm"
+    docs = [b"abracadabra" * 3, b"\0" * 200, bytes(range(40))]  # largest count 198
+    slamm.NgramModel.train(docs, n=3, zoo_id="zoo").save(path)
+    return path.read_bytes(), path
+
+
+class TestLoadFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cut=st.none() | st.integers(0, 1 << 20),
+        edits=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 255)), max_size=4),
+    )
+    def test_edited_file_loads_or_is_data_error(self, fuzz_model, cut, edits):
+        # A truncation and byte edits at offsets taken modulo the file size.
+        raw, path = fuzz_model
+        raw = bytearray(raw if cut is None else raw[: cut % len(raw)])
+        for pos, value in edits if raw else []:
+            raw[pos % len(raw)] = value
+        path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(slamm, "_BLOCK", 4)  # the checks also run across block edges
+            try:
+                model = slamm.NgramModel.load(path)
+            except DataError:
+                return
+        top = model.counts[-1]
+        if model.n == 3:
+            assert top.dtype == np.min_scalar_type(int(top.max()))
+        for data in [b"ab", b"abracadabra" * 3, bytes(range(256)), b"\0" * 300]:
+            try:
+                slamm.slamm_classify(data, [model], model)
+            except DataError:
+                pass
+
 
 def _dense_context_stats(model, k):
     """Per-context total and distinct continuations of order k, from a
@@ -394,17 +469,37 @@ class TestLoadedTables:
     @pytest.mark.parametrize("block", [5, 1 << 18])
     def test_loaded_equals_trained(self, tmp_path, monkeypatch, n, block):
         # Small blocks split context runs across blocks on load and on
-        # finalize; bytes 0..39 leave most contexts unseen.
+        # finalize; bytes 0..39 leave most contexts unseen. A run of
+        # zeros sets the largest trigram count, 998 or 69,998, and so
+        # the type the trigram table loads in; training skips an empty run.
         monkeypatch.setattr(slamm, "_BLOCK", block)
+        for zeros, top_dtype in [(0, np.uint8), (1000, np.uint16), (70_000, np.uint32)]:
+            self._check_loaded_equals_trained(tmp_path, n, zeros, top_dtype)
+
+    def _check_loaded_equals_trained(self, tmp_path, n, zeros, top_dtype):
         rng = np.random.default_rng(20 + n)
         docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(3)]
-        docs.append(b"abracadabra")
+        docs += [b"abracadabra", b"\0" * zeros]
         trained = slamm.NgramModel.train(
             docs, n=n, smoothing=slamm.SmoothingParams(discount=0.37)
         )
         path = tmp_path / "m.slmm"
         trained.save(path)
         loaded = slamm.NgramModel.load(path)
+        assert loaded.counts[n - 1].dtype == (top_dtype if n == 3 else np.int64)
+        for a, b in zip(trained.counts, loaded.counts, strict=True):
+            assert np.array_equal(a, b)
+        suspects = [docs[0][:500], b"\0" * 300 + b"abracadabra", bytes(range(256))]
+        suspects.append(rng.integers(0, 256, 2000).astype(np.uint8).tobytes())
+        for data in suspects:
+            p = slamm.NgramHistogram.from_data(data, n)
+            assert slamm.cross_entropy(loaded, p) == slamm.cross_entropy(trained, p)
+            h_trained, h_loaded = trained.histogram(), loaded.histogram()
+            assert slamm.kld(p, h_loaded) == slamm.kld(p, h_trained)
+            assert slamm.mse(h_loaded, p) == slamm.mse(h_trained, p)
+            v_trained = slamm.slamm_classify(data, [trained], trained)
+            v_loaded = slamm.slamm_classify(data, [loaded], loaded)
+            assert v_loaded == v_trained
         for attr in ("_ctx_total", "_ctx_distinct", "_tk_safe", "_lam"):
             a, b = getattr(trained, attr), getattr(loaded, attr)
             assert len(a) == len(b) == n - 1
