@@ -22,9 +22,10 @@ from . import __version__, baselines, corpus, ents, forest as forest_mod, pipeli
 from .errors import DataError, ItectError
 
 
-def _thread_arg(value: str) -> str:
-    """Check a ``--threads`` or ``ITECT_THREADS`` value: a positive integer
-    or 'auto'. The text is kept as given, so provenance records it as is."""
+def _count_or_auto(value: str) -> str:
+    """Check a ``--threads``, ``ITECT_THREADS`` or ``--alpha`` value: a
+    positive integer or 'auto'. The text is kept as given, so provenance
+    records it as is."""
     try:
         valid = value == "auto" or int(value) > 0
     except ValueError:
@@ -36,10 +37,36 @@ def _thread_arg(value: str) -> str:
     return value
 
 
+def _at_least(kind: type, low: float):
+    """An argparse ``type``: text that parses as ``kind`` and is >= ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= low:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _fractions(text: str) -> list[float]:
+    try:
+        return [float(f) for f in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _threads(value: str | int | None) -> int:
     if value in (None, "auto"):
         try:
-            value = _thread_arg(os.environ.get("ITECT_THREADS", "auto"))
+            value = _count_or_auto(os.environ.get("ITECT_THREADS", "auto"))
         except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"ITECT_THREADS: {exc}") from None
     if value == "auto":
@@ -159,7 +186,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     trained = forest_mod.calibrate_zero_fp(
-        pruned.rows, labels, config, folds=args.folds, feature_cols=pruned.col_index
+        pruned.rows, labels, config, feature_cols=pruned.col_index
     )
     trained.save(args.out)
     _write_sidecar(args.out, args, [args.features])
@@ -278,14 +305,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_classify(args) -> int:
     trained = forest_mod.TrainedForest.load(args.ents)
-    with open(args.ents_params, "r", encoding="utf-8") as fh:
-        try:
-            p = json.load(fh)
-            params = ents.EntsParams(
-                chunk_size=p["chunk_size"], alpha=p["alpha"], tau=p["tau"]
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{args.ents_params}: bad EnTS parameters: {exc!r}") from None
+    params = ents.EntsParams.load(args.ents_params)
     last_col = max(trained.feature_cols, default=-1)
     if last_col >= params.n_points:
         raise DataError(
@@ -309,7 +329,10 @@ def _cmd_classify(args) -> int:
 
 def _read_verdicts(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return [pipeline.Verdict.from_json(line) for line in fh if line.strip()]
+        try:
+            return [pipeline.Verdict.from_json(line) for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: verdicts are not UTF-8 text ({exc.reason})") from None
 
 
 def _cmd_eval(args) -> int:
@@ -332,14 +355,13 @@ def _cmd_sweep(args) -> int:
     labels = {e.digest: e.label for e in manifest}
     benign = [v for v in verdicts if labels.get(v.digest) == "benign"]
     malware = [v for v in verdicts if labels.get(v.digest) == "malware"]
-    fractions = [float(f) for f in args.fractions.split(",")]
     reports = pipeline.prevalence_sweep(
-        benign, malware, labels, fractions, seed=args.seed
+        benign, malware, labels, args.fractions, seed=args.seed
     )
     payload = {
         "points": [
             {"malware_fraction": f, **r.to_dict()}
-            for f, r in zip(fractions, reports)
+            for f, r in zip(args.fractions, reports)
         ]
     }
     _write_json(args.out, payload, args, [args.verdicts, args.manifest])
@@ -398,7 +420,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"itect {__version__}")
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument(
-        "--threads", type=_thread_arg, help="worker pool size or 'auto'"
+        "--threads", type=_count_or_auto, help="worker pool size or 'auto'"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -418,9 +440,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ents", help="compute entropy-profile features")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--alpha", default="auto")
-    p.add_argument("--chunk", type=int, default=256)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--alpha", type=_count_or_auto, default="auto")
+    p.add_argument("--chunk", type=_at_least(int, 1), default=256)
+    p.add_argument("--tau", type=_at_least(float, 0), default=0.5)
     p.add_argument("--split", default=None, choices=corpus.SPLITS)
     p.add_argument("--out", required=True)
     p.add_argument("--params-out")
@@ -428,11 +450,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train + calibrate the feature forest")
     p.add_argument("--features", required=True)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--fpweight", type=float, default=5.0)
+    p.add_argument("--trees", type=_at_least(int, 1), default=100)
+    p.add_argument("--fpweight", type=_at_least(float, 1), default=5.0)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=1)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--min-leaf", type=_at_least(int, 1), default=1)
+    p.add_argument("--folds", type=int, help="ignored: the cutoff is set out of bag")
     p.add_argument("--prune-cutoff", type=float, default=0.8)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -457,7 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--train", help="train manifest for NCD columns")
     p.add_argument("--compressor", default="lzma2", choices=("lzma2", "zlib"))
-    p.add_argument("--level", type=int, default=9)
+    p.add_argument("--level", type=int, default=9, choices=range(10))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_baseline)
 
@@ -479,14 +501,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="evaluate at varying malware prevalence")
     p.add_argument("--verdicts", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--fractions", default="0,0.1,0.2,0.3,0.4,0.5")
+    p.add_argument("--fractions", type=_fractions, default="0,0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--profile", required=True, choices=synth.PROFILES)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_at_least(int, 1), required=True)
     p.add_argument("--size-min", type=int, default=65536)
     p.add_argument("--size-max", type=int, default=131072)
     p.add_argument("--seed", type=int, required=True)

@@ -46,6 +46,10 @@ class ManifestEntry:
     digest: str
 
     def __post_init__(self):
+        if not isinstance(self.path, str) or not isinstance(self.digest, str):
+            raise DataError("path and digest must be strings")
+        if isinstance(self.size_bytes, bool) or not isinstance(self.size_bytes, int):
+            raise DataError(f"size_bytes {self.size_bytes!r} is not an integer")
         if self.label not in LABELS:
             raise DataError(f"unknown label {self.label!r}")
         if self.category not in CATEGORIES:
@@ -80,7 +84,7 @@ class ManifestEntry:
                 size_bytes=d["size_bytes"],
                 digest=d["digest"],
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataError(f"bad manifest line: {exc!r}") from None
 
 
@@ -114,10 +118,13 @@ class CorpusManifest:
     def load(cls, path: str | Path) -> "CorpusManifest":
         entries = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(ManifestEntry.from_json(line))
+            try:
+                for line in fh:
+                    line = line.strip()
+                    if line:
+                        entries.append(ManifestEntry.from_json(line))
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: manifest is not UTF-8 text ({exc.reason})") from None
         return cls(entries=tuple(entries))
 
 

@@ -10,6 +10,7 @@ learning happens.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,17 @@ class EntsParams:
             raise ValueError("alpha must be >= 1")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
+
+    @classmethod
+    def load(cls, path) -> "EntsParams":
+        """Read an ``ents-params.json``; one that does not hold valid
+        parameters raises DataError."""
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                p = json.load(fh)
+                return cls(chunk_size=p["chunk_size"], alpha=p["alpha"], tau=p["tau"])
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise DataError(f"{path}: bad EnTS parameters: {exc!r}") from None
 
     @property
     def n_points(self) -> int:

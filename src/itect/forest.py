@@ -3,8 +3,8 @@
 CART-style axis-aligned trees over entropy-profile features. Benign
 samples carry extra weight in the Gini criterion so splits that would
 misclassify benign-ware as malware are expensive. After training, the
-vote cutoff is pushed just above the highest benign score seen across
-cross-validation folds, so no validation benign sample is flagged.
+vote cutoff is pushed just above the highest out-of-bag benign score,
+so no benign training sample is flagged by the trees that never saw it.
 """
 
 from __future__ import annotations
@@ -223,6 +223,14 @@ def _grow(
     )
 
 
+def _bootstrap(seed: int, t: int, n: int) -> tuple[np.random.Generator, np.ndarray]:
+    """Tree ``t``'s generator and its bootstrap: ``n`` row indices drawn
+    with replacement. The generator goes on to pick the tree's split
+    features, so training and out-of-bag scoring share this one rule."""
+    rng = np.random.default_rng([seed, t])
+    return rng, rng.integers(0, n, n)
+
+
 def train_forest(
     rows: np.ndarray,
     labels: Sequence[int],
@@ -245,8 +253,7 @@ def train_forest(
     n_subset = max(1, int(math.isqrt(d)))
     trees = []
     for t in range(config.trees):
-        rng = np.random.default_rng([config.seed, t])
-        idx = rng.integers(0, n, n)
+        rng, idx = _bootstrap(config.seed, t, n)
         trees.append(
             _grow(
                 x[idx], y[idx], w[idx], rng, n_subset, config.max_depth, config.min_leaf
@@ -277,65 +284,42 @@ def score_rows(forest: TrainedForest, rows: np.ndarray) -> np.ndarray:
     return np.array([score(forest, r) for r in rows])
 
 
-def _stratified_folds(
-    y: np.ndarray, folds: int, seed: int
-) -> np.ndarray:
-    assign = np.empty(len(y), dtype=np.int64)
-    rng = np.random.default_rng([seed, 0xF01D])
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        assign[idx] = np.arange(len(idx)) % folds
-    return assign
-
-
 def calibrate_zero_fp(
     rows: np.ndarray,
     labels: Sequence[int],
     config: ForestConfig,
-    folds: int = 10,
     feature_cols: Sequence[int] | None = None,
 ) -> TrainedForest:
     """Train and attach the most conservative zero-FP vote cutoff.
 
-    For each stratified fold the forest is retrained on the others and
-    the held-out fold scored; the cutoff is the maximum benign
-    validation score plus half a vote step, so every benign validation
-    sample lands strictly below it. The returned forest is retrained
-    on the full data with that cutoff attached.
+    Each benign row is scored out of bag (Breiman, 2001): only by the
+    trees whose bootstrap left it out. The cutoff is the highest such
+    score plus half a vote step, so every scored benign row lands
+    strictly below it. A benign row that every tree drew has no
+    out-of-bag score and is skipped; if no benign row has one, DataError.
     """
-    if folds < 2:
-        raise DataError("folds must be >= 2")
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    assign = _stratified_folds(y, folds, config.seed)
-    max_benign = 0.0
-    fold_stats = []
-    for f in range(folds):
-        held = assign == f
-        if not np.any(held & (y == 0)):
-            raise DataError(f"fold {f} has no benign rows")
-        fold_config = ForestConfig(
-            trees=config.trees,
-            class_weight_fp=config.class_weight_fp,
-            max_depth=config.max_depth,
-            min_leaf=config.min_leaf,
-            seed=config.seed + f + 1,
-        )
-        sub = train_forest(x[~held], y[~held], fold_config)
-        val_scores = score_rows(sub, x[held])
-        benign_scores = val_scores[y[held] == 0]
-        fold_stats.append(
-            {"fold": f, "benign_max": float(benign_scores.max())}
-        )
-        max_benign = max(max_benign, float(benign_scores.max()))
     final = train_forest(x, y, config, feature_cols=feature_cols)
+    n = len(y)
+    votes = np.zeros(n)
+    voters = np.zeros(n)
+    for t, tree in enumerate(final.trees):
+        out_of_bag = y == 0
+        out_of_bag[_bootstrap(config.seed, t, n)[1]] = False
+        for i in np.flatnonzero(out_of_bag):
+            votes[i] += _tree_vote(tree, x[i])
+            voters[i] += 1
+    scored = np.flatnonzero(voters > 0)
+    if not len(scored):
+        raise DataError("every benign row is in every tree's bootstrap")
+    max_benign = float((votes[scored] / voters[scored]).max())
     final.cutoff = max_benign + final.vote_step
     final.calibration = {
-        "folds": folds,
+        "method": "oob",
         "seed": config.seed,
         "benign_validation_max": max_benign,
-        "per_fold": fold_stats,
+        "benign_rows": len(scored),
     }
     return final
 

@@ -79,7 +79,7 @@ class Verdict:
                 slamm_abstained=d["slamm_abstained"],
                 timings=d.get("timings", {}),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataError(f"bad verdict line: {exc!r}") from None
 
 

@@ -99,7 +99,7 @@ def pipeline_run(tmp_path_factory):
         )
     merged = corpus.CorpusManifest(entries=tuple(e for m in parts for e in m))
     # train two thirds, held-out test third (no separate validation split;
-    # calibration cross-validates inside the training set)
+    # calibration scores the training rows out of bag)
     manifest = corpus.split_manifest(
         merged, 2 / 3, seed=7, validation_fraction_of_rest=0.0
     )
@@ -133,7 +133,6 @@ def pipeline_run(tmp_path_factory):
         pruned.rows,
         [1 if l == "malware" else 0 for l in pruned.labels],
         forest.ForestConfig(trees=100, seed=0),
-        folds=10,
         feature_cols=pruned.col_index,
     )
 
@@ -314,7 +313,7 @@ def test_criterion_6_scalability(scaling_files, capsys):
         )
         labels = [0 if i % 2 == 0 else 1 for i in range(60)]
         trained = forest.calibrate_zero_fp(
-            rows, labels, forest.ForestConfig(trees=20, seed=1), folds=3
+            rows, labels, forest.ForestConfig(trees=20, seed=1)
         )
         mal = slamm.NgramModel.train(
             [f for f in files[:60][1::2]], n=3, zoo_id="m"

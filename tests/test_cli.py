@@ -1,10 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from itect import cli
-from itect.corpus import CorpusManifest
+from itect import cli, ents, pipeline, slamm
+from itect.corpus import CorpusManifest, ManifestEntry
+from itect.errors import DataError
 
 
 def run(*argv):
@@ -77,6 +80,31 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("split", "manifest"),
+            ("ents", "manifest"),
+            ("eval", "manifest"),
+            ("eval", "verdicts"),
+        ],
+    )
+    def test_input_that_is_not_utf8(self, workspace, tmp_path, capsys, command, bad):
+        first = workspace["manifest"].read_bytes().splitlines(keepends=True)[0]
+        manifest, verdicts = tmp_path / "m.jsonl", tmp_path / "v.jsonl"
+        manifest.write_bytes(first)
+        verdicts.write_bytes(b"")
+        (manifest if bad == "manifest" else verdicts).write_bytes(first + b"\xff\xfe\n")
+        argv = {
+            "split": ["--manifest", str(manifest), "--seed", "1"],
+            "ents": ["--manifest", str(manifest), "--out", str(tmp_path / "f.csv")],
+            "eval": ["--verdicts", str(verdicts), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "r.json")],
+        }[command]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert "itect: data error" in err and "not UTF-8" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run("--config", str(tmp_path / "absent.json"), "split",
@@ -464,6 +492,14 @@ class TestPipelineCommands:
         assert self._classify(trained, tmp_path / "v.jsonl", good, params=bad) == 2
         assert "itect: data error" in capsys.readouterr().err
 
+    def test_folds_flag_changes_nothing(self, trained, tmp_path):
+        # The fixture's forest was trained the same way with --folds 3.
+        out = tmp_path / "forest.json"
+        rc = run("train", "--features", str(trained["features"]), "--trees", "10",
+                 "--seed", "0", "--out", str(out))
+        assert rc == 0
+        assert out.read_bytes() == trained["forest"].read_bytes()
+
     def test_feature_cell_that_is_not_a_number(self, trained, tmp_path, capsys):
         header, first, *rest = trained["features"].read_text().splitlines()
         cells = first.split(",")
@@ -474,6 +510,42 @@ class TestPipelineCommands:
                  "--seed", "0", "--out", str(tmp_path / "forest.json"))
         assert rc == 2
         assert "itect: data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--alpha", "abc"],
+        ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--alpha", "0"],
+        ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--chunk", "0"],
+        ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--tau", "-1"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--trees", "0"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--fpweight", "0.5"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--min-leaf", "0"],
+        ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",
+         "--level", "-1"],
+        ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",
+         "--level", "20"],
+        ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",
+         "--compressor", "zlib", "--level", "-5"],
+        ["sweep", "--verdicts", "{tmp}/empty.jsonl", "--manifest", "{manifest}",
+         "--seed", "1", "--out", "{tmp}/s.json", "--fractions", "a"],
+        ["synth", "--profile", "benign_like", "--seed", "1", "--out", "{tmp}/s",
+         "--count", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_flag_value_the_library_rejects_is_usage_error(
+    workspace, trained, tmp_path, capsys, argv
+):
+    (tmp_path / "empty.jsonl").write_text("")
+    paths = {"manifest": workspace["manifest"], "features": trained["features"],
+             "tmp": tmp_path}
+    assert run(*[a.format(**paths) for a in argv]) == 1
+    assert "itect: usage error" in capsys.readouterr().err
 
 
 class TestIngest:
@@ -489,3 +561,78 @@ class TestIngest:
         m = CorpusManifest.load(out)
         assert len(m) == 3
         assert all(e.size_bytes == 100 for e in m)
+
+
+_ENTRY = ManifestEntry(path="a.bin", label="benign", category="benign",
+                       split="train", size_bytes=1, digest="0" * 64)
+_VERDICT = pipeline.Verdict(
+    digest="0" * 64, ents_verdict=True, ents_score=0.5,
+    slamm_verdict=slamm.SlammVerdict(True, False, True, False, {"z": {"cx": 1.0}}),
+    itect_verdict=True, timings={"total": 0.1},
+)
+# One well-formed file per loader.
+_VALID = {
+    "manifest": (_ENTRY.to_json() + "\n").encode(),
+    "verdicts": (_VERDICT.to_json() + "\n").encode(),
+    "features": b"digest,label,x0,x3\nd0,benign,0.5,1.0\nd1,malware,2.0,0.25\n",
+    "ents-params": b'{"alpha": 3, "chunk_size": 256, "tau": 0.5}',
+}
+_LOADERS = {
+    "manifest": CorpusManifest.load,
+    "verdicts": cli._read_verdicts,
+    "features": ents.read_feature_csv,
+    "ents-params": ents.EntsParams.load,
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _edited(draw, valid: bytes):
+    """``valid`` with a JSON field replaced, or bytes overwritten and cut."""
+    try:
+        doc = json.loads(valid)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JSON_VALUES)
+        return json.dumps(doc).encode()
+    raw = bytearray(valid)
+    edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+    for offset, value in draw(st.lists(edits, max_size=4)):
+        raw[offset] = value
+    return bytes(raw[: draw(st.integers(0, len(raw)))])
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    def test_valid_file_loads(self, tmp_path, kind):
+        path = tmp_path / kind
+        path.write_bytes(_VALID[kind])
+        _LOADERS[kind](path)
+
+    @pytest.mark.parametrize("kind", sorted(_LOADERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_bytes_load_or_are_data_error(self, tmp_path_factory, kind, data):
+        content = data.draw(
+            st.binary(max_size=300) | st.text(max_size=200).map(str.encode)
+            | _edited(_VALID[kind])
+        )
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
+        path.write_bytes(content)
+        try:
+            _LOADERS[kind](path)
+        except DataError:
+            pass
+
+    @pytest.mark.parametrize("kind", ["manifest", "verdicts", "ents-params"])
+    def test_json_nested_past_recursion_limit_is_data_error(self, tmp_path, kind):
+        path = tmp_path / kind
+        path.write_bytes(b"[" * 100_000)
+        with pytest.raises(DataError):
+            _LOADERS[kind](path)

@@ -81,7 +81,7 @@ class TestCalibration:
     def test_zero_fp_on_training_corpus(self):
         rows, labels = two_blob_data(n_per_class=80, gap=3.0, seed=11)
         f = forest.calibrate_zero_fp(
-            rows, labels, forest.ForestConfig(trees=20, seed=4), folds=5
+            rows, labels, forest.ForestConfig(trees=20, seed=4)
         )
         assert f.cutoff is not None
         preds = [forest.score(f, r) >= f.cutoff for r in rows[labels == 0]]
@@ -90,13 +90,13 @@ class TestCalibration:
     def test_cutoff_above_benign_validation_max(self):
         rows, labels = two_blob_data(n_per_class=50, gap=2.0, seed=12)
         f = forest.calibrate_zero_fp(
-            rows, labels, forest.ForestConfig(trees=10, seed=5), folds=5
+            rows, labels, forest.ForestConfig(trees=10, seed=5)
         )
         assert f.cutoff == pytest.approx(
             f.calibration["benign_validation_max"] + f.vote_step
         )
-        assert f.calibration["folds"] == 5
-        assert len(f.calibration["per_fold"]) == 5
+        assert f.calibration["method"] == "oob"
+        assert 0 < f.calibration["benign_rows"] <= 50
 
     def test_uncalibrated_predict_rejected(self):
         # The classify path refuses a forest that has no cutoff.
@@ -108,17 +108,61 @@ class TestCalibration:
         with pytest.raises(DataError, match="not calibrated"):
             pipeline.itect_classify(data, "d", f, params, [zoo], zoo)
 
-    def test_too_few_folds(self):
-        rows, labels = two_blob_data()
-        with pytest.raises(DataError):
-            forest.calibrate_zero_fp(rows, labels, forest.ForestConfig(trees=2), folds=1)
+    def test_cutoff_matches_brute_force_out_of_bag_scores(self):
+        rows, labels = two_blob_data(n_per_class=40, gap=1.0, seed=13)
+        cfg = forest.ForestConfig(trees=25, seed=8)
+        f = forest.calibrate_zero_fp(rows, labels, cfg)
+        plain = forest.train_forest(rows, labels, cfg)
+        assert [t.to_dict() for t in f.trees] == [t.to_dict() for t in plain.trees]
+        # Rebuild each tree's bootstrap and score every benign row with the
+        # trees that did not draw it.
+        n = len(labels)
+        drawn = [
+            set(np.random.default_rng([cfg.seed, t]).integers(0, n, n).tolist())
+            for t in range(cfg.trees)
+        ]
+        oob = {}
+        for i in np.flatnonzero(labels == 0):
+            trees = [tree for tree, d in zip(f.trees, drawn) if i not in d]
+            if trees:
+                sub = forest.TrainedForest(trees=trees, config=cfg, feature_cols=[])
+                oob[i] = forest.score(sub, rows[i])
+        top = max(oob.values())
+        assert top > 0
+        assert f.calibration["benign_validation_max"] == top
+        assert f.calibration["benign_rows"] == len(oob)
+        assert f.cutoff == top + f.vote_step
+        assert all(s < f.cutoff for s in oob.values())
+
+    def test_trains_one_forest(self, monkeypatch):
+        calls = []
+        train = forest.train_forest
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "train_forest", counted)
+        rows, labels = two_blob_data(n_per_class=20)
+        forest.calibrate_zero_fp(rows, labels, forest.ForestConfig(trees=5, seed=1))
+        assert len(calls) == 1
+
+    def test_no_out_of_bag_benign_row(self):
+        # Row 0 is the one benign row; the one tree's bootstrap draws it.
+        seed = next(
+            s for s in range(100)
+            if 0 in np.random.default_rng([s, 0]).integers(0, 2, 2)
+        )
+        rows = np.array([[0.0], [1.0]])
+        with pytest.raises(DataError, match="bootstrap"):
+            forest.calibrate_zero_fp(rows, [0, 1], forest.ForestConfig(trees=1, seed=seed))
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rows, labels = two_blob_data(n_per_class=30)
         f = forest.calibrate_zero_fp(
-            rows, labels, forest.ForestConfig(trees=8, seed=6), folds=3,
+            rows, labels, forest.ForestConfig(trees=8, seed=6),
             feature_cols=[0, 2, 3, 5, 8, 13, 21, 34],
         )
         path = tmp_path / "forest.json"
@@ -183,7 +227,7 @@ class TestSerialization:
 def _small_forest():
     rows, labels = two_blob_data(n_per_class=20)
     return forest.calibrate_zero_fp(
-        rows, labels, forest.ForestConfig(trees=3, seed=2), folds=2
+        rows, labels, forest.ForestConfig(trees=3, seed=2)
     )
 
 

@@ -178,7 +178,7 @@ def tiny_detectors():
     )
     labels = [0] * 12 + [1] * 12
     f = forest.calibrate_zero_fp(
-        rows, labels, forest.ForestConfig(trees=10, seed=0), folds=3
+        rows, labels, forest.ForestConfig(trees=10, seed=0)
     )
     mal_model = slamm.NgramModel.train(malware_files, n=2, zoo_id="rand")
     ben_model = slamm.NgramModel.train(benign_files, n=2, zoo_id="ben")
