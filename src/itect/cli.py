@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -37,17 +38,19 @@ def _count_or_auto(value: str) -> str:
     return value
 
 
-def _at_least(kind: type, low: float):
-    """An argparse ``type``: text that parses as ``kind`` and is >= ``low``."""
+def _at_least(kind: type, low: float, high: float = math.inf):
+    """An argparse ``type``: text that parses as ``kind`` and is >= ``low``
+    (and <= ``high``)."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not value >= low:
+        if value is None or not low <= value <= high:
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(
-                f"expected {kind.__name__} >= {low}, got {text!r}"
+                f"expected {kind.__name__} {bound}, got {text!r}"
             )
         return value
 
@@ -452,10 +455,10 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--trees", type=_at_least(int, 1), default=100)
     p.add_argument("--fpweight", type=_at_least(float, 1), default=5.0)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=_at_least(int, 1), default=None)
     p.add_argument("--min-leaf", type=_at_least(int, 1), default=1)
     p.add_argument("--folds", type=int, help="ignored: the cutoff is set out of bag")
-    p.add_argument("--prune-cutoff", type=float, default=0.8)
+    p.add_argument("--prune-cutoff", type=_at_least(float, 0, 1), default=0.8)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)

@@ -102,24 +102,41 @@ class FeatureMatrix:
             raise ValueError("col_index must be strictly increasing")
 
 
+# Bytes of full chunks counted per bincount (at least one chunk).
+_ENTROPY_BLOCK = 1 << 13
+
+
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p * log2(p), and 0 where p is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, p * np.log2(p), 0.0)
+
+
 def chunk_entropies(data: bytes, chunk_size: int) -> np.ndarray:
     """Shannon entropy (bits/byte) of each fixed-size chunk of ``data``.
 
-    The final partial chunk is measured over its actual bytes.
+    The final partial chunk is measured over its actual bytes. Full
+    chunks are counted a block at a time, each count looked up in a
+    table of p * log2(p) at p = count / chunk_size, so no temporary
+    grows with the file.
     """
     if len(data) == 0:
         raise DataError("empty file")
     arr = np.frombuffer(data, dtype=np.uint8)
-    n_chunks = -(-len(arr) // chunk_size)
-    chunk_idx = np.arange(len(arr)) // chunk_size
-    counts = np.bincount(
-        chunk_idx * 256 + arr, minlength=n_chunks * 256
-    ).reshape(n_chunks, 256)
-    totals = counts.sum(axis=1, keepdims=True)
-    p = counts / totals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p), 0.0)
-    return -terms.sum(axis=1)
+    n_full = len(arr) // chunk_size
+    out = np.empty(-(-len(arr) // chunk_size))
+    per_block = max(1, _ENTROPY_BLOCK // chunk_size)
+    table = _plogp(np.arange(chunk_size + 1) / chunk_size)
+    bins = np.arange(min(per_block, n_full) * chunk_size) // chunk_size * 256
+    for first in range(0, n_full, per_block):
+        m = min(per_block, n_full - first)
+        block = arr[first * chunk_size : (first + m) * chunk_size]
+        counts = np.bincount(bins[: len(block)] + block, minlength=m * 256)
+        out[first : first + m] = -table[counts.reshape(m, 256)].sum(axis=1)
+    tail = arr[n_full * chunk_size :]
+    if len(tail):
+        out[-1] = -_plogp(np.bincount(tail, minlength=256) / len(tail)).sum()
+    return out
 
 
 def _lower_median(values: Sequence[int]) -> int:

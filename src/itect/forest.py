@@ -297,6 +297,7 @@ def calibrate_zero_fp(
     score plus half a vote step, so every scored benign row lands
     strictly below it. A benign row that every tree drew has no
     out-of-bag score and is skipped; if no benign row has one, DataError.
+    So is a benign row that scores 1.0, since no score can exceed it.
     """
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -314,6 +315,8 @@ def calibrate_zero_fp(
     if not len(scored):
         raise DataError("every benign row is in every tree's bootstrap")
     max_benign = float((votes[scored] / voters[scored]).max())
+    if max_benign >= 1.0:
+        raise DataError("a benign row scores 1.0 out of bag: no cutoff keeps zero FP")
     final.cutoff = max_benign + final.vote_step
     final.calibration = {
         "method": "oob",

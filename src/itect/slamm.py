@@ -50,7 +50,10 @@ def _bincounted(k: int) -> bool:
 
 
 def _count_dtype(k: int) -> type:
-    return np.int64 if _bincounted(k) else np.int32
+    """The type order k's table starts in: int64 where bincount adds
+    into it, else uint8, widened by :meth:`NgramModel._flush` as its
+    counts grow."""
+    return np.int64 if _bincounted(k) else np.uint8
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
@@ -100,15 +103,15 @@ def _read_records(fh, n: int, tables: list[np.ndarray]):
     block.
 
     An order counted by sorting (256^3 cells) gets the narrowest
-    unsigned type of its largest count: a first pass over its records
-    finds that count, and a second scatters them. Both passes check the
-    records, as the file may change between them.
+    unsigned type of its largest count, as training gives it: a first
+    pass over its records finds that count, and a second scatters them.
+    Both passes check the records, as the file may change between them.
     """
     for k in range(1, n + 1):
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, f"order-{k} record count"))
         if count > 256**k:
             raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
-        dtype = np.dtype(_count_dtype(k))
+        dtype = np.dtype(np.int64)  # the type training sums counts in
         if not _bincounted(k):
             start = fh.tell()
             blocks = _read_blocks(fh, k, count, np.iinfo(dtype).max)
@@ -179,10 +182,11 @@ class NgramModel:
     the dense table; the sorted distinct codes are kept, so finalize
     and save read the non-zero counts without scanning 256^k cells.
 
-    ``counts`` replaces the zeroed tables, as :meth:`load` does; a
-    loaded model holds its 256^3 table in the narrowest unsigned type
-    of its largest count, so a zoo whose counts fit in 16 bits takes
-    32 MiB, not the 64 MiB of the int32 training counter.
+    That table starts as uint8 and is widened, flush by flush, to the
+    narrowest unsigned type of its largest count, so a zoo whose counts
+    fit in 8 bits trains in 16 MiB. ``counts`` replaces the zeroed
+    tables, as :meth:`load` does, which follows the same rule: a trained
+    zoo and its loaded copy hold the same types.
     """
 
     def __init__(
@@ -230,7 +234,14 @@ class NgramModel:
     def _flush(self, order_idx: int) -> None:
         """Sort the order's pending codes into runs, add their counts into
         the dense table and merge their codes into the sorted non-zero
-        codes."""
+        codes.
+
+        The sums are taken in int64, and the table is widened to the
+        narrowest unsigned type of the largest before they are stored,
+        so no count wraps. The merge keeps the runs of the sorted
+        concatenation of both code lists, which costs a sort where
+        ``np.union1d`` (hash-based in NumPy 2) costs seconds per flush.
+        """
         if not self._pending[order_idx]:
             return
         codes = np.concatenate(self._pending[order_idx])
@@ -238,9 +249,17 @@ class NgramModel:
         self._pending_sizes[order_idx] = 0
         keys, counts = _sorted_runs(codes)
         del codes  # keys is a copy; free the codes before the merge
-        self.counts[order_idx][keys] += counts
+        table = self.counts[order_idx]
+        # A uint64 table holds no count above 2^63 - 1, so its cast is exact.
+        np.add(counts, table[keys], out=counts, dtype=np.int64, casting="unsafe")
+        dtype = np.promote_types(table.dtype, np.min_scalar_type(int(counts.max())))
+        if dtype != table.dtype:
+            table = self.counts[order_idx] = table.astype(dtype)
+        table[keys] = counts
         seen = self._nonzero[order_idx]
-        self._nonzero[order_idx] = keys if seen is None else np.union1d(seen, keys)
+        if seen is not None:
+            keys = _sorted_runs(np.concatenate([seen, keys]))[0]
+        self._nonzero[order_idx] = keys
 
     def finalize(
         self, records: Iterable[tuple[int, np.ndarray, np.ndarray]] | None = None
@@ -441,7 +460,8 @@ class NgramModel:
     # -- serialization -----------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Versioned binary container, records sorted by gram code."""
+        """Versioned binary container, records sorted by gram code,
+        written in blocks of ``_BLOCK`` records."""
         self._require_finalized()
         zoo = self.zoo_id.encode("utf-8")
         with open(path, "wb") as fh:
@@ -460,18 +480,20 @@ class NgramModel:
             for k, table in enumerate(self.counts, 1):
                 nz = self._nonzero_codes(k)
                 fh.write(struct.pack("<Q", len(nz)))
-                rec = np.empty(len(nz), dtype=_RECORD)
-                rec["g"] = nz
-                rec["c"] = table[nz]
-                fh.write(rec.tobytes())
+                for start in range(0, len(nz), _BLOCK):
+                    codes = nz[start : start + _BLOCK]
+                    rec = np.empty(len(codes), dtype=_RECORD)
+                    rec["g"] = codes
+                    rec["c"] = table[codes]
+                    fh.write(rec)
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
         """Read a model file; a truncated or corrupt one raises DataError.
 
         Each block of records is tallied by finalize as it is read, so
-        loading makes no pass over the 256^n cells, nor allocates an
-        int32 table for them.
+        loading makes no pass over the 256^n cells, nor allocates a
+        table for them wider than their largest count needs.
         """
         with open(path, "rb") as fh:
             magic = fh.read(4)

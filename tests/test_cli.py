@@ -525,6 +525,16 @@ class TestPipelineCommands:
          "--fpweight", "0.5"],
         ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
          "--min-leaf", "0"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--max-depth", "-3"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--max-depth", "0"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--prune-cutoff", "-1"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--prune-cutoff", "nan"],
+        ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
+         "--prune-cutoff", "1.5"],
         ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",
          "--level", "-1"],
         ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",

@@ -19,7 +19,38 @@ def chunk_with_entropy(bits: int, size: int = 256) -> bytes:
     return bytes(symbols * reps)
 
 
+def whole_file_entropies(data: bytes, chunk_size: int) -> np.ndarray:
+    """Chunk entropies from one bincount over the whole file, the formula
+    chunk_entropies computed before it counted in blocks."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    n_chunks = -(-len(arr) // chunk_size)
+    chunk_idx = np.arange(len(arr)) // chunk_size
+    counts = np.bincount(
+        chunk_idx * 256 + arr, minlength=n_chunks * 256
+    ).reshape(n_chunks, 256)
+    totals = counts.sum(axis=1, keepdims=True)
+    p = counts / totals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log2(p), 0.0)
+    return -terms.sum(axis=1)
+
+
 class TestChunkEntropies:
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 256, 300, 8192, 8193, 100_000])
+    def test_equals_whole_file_formula(self, chunk_size):
+        # Lengths around chunk edges and the 2^13-byte block edges, over
+        # byte alphabets of 2, 17 and 256 values.
+        block = ents._ENTROPY_BLOCK
+        lengths = {1, 2, chunk_size - 1, chunk_size, chunk_size + 1, 3 * chunk_size + 5}
+        for edge in (block, 2 * block, block // chunk_size * chunk_size or chunk_size):
+            lengths |= {edge - 1, edge, edge + 1}
+        rng = np.random.default_rng(chunk_size)
+        for length in sorted(n for n in lengths if n > 0):
+            for hi in (2, 17, 256):
+                data = rng.integers(0, hi, length).astype(np.uint8).tobytes()
+                got = ents.chunk_entropies(data, chunk_size)
+                assert np.array_equal(got, whole_file_entropies(data, chunk_size))
+
     def test_single_symbol(self):
         assert ents.chunk_entropies(b"\x41" * 256, 256) == pytest.approx([0.0])
 

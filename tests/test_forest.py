@@ -79,11 +79,13 @@ class TestTrainForest:
 
 class TestCalibration:
     def test_zero_fp_on_training_corpus(self):
+        # With 20 trees some benign row is out of bag for so few trees that
+        # all of them vote malware, and calibration refuses the data.
         rows, labels = two_blob_data(n_per_class=80, gap=3.0, seed=11)
         f = forest.calibrate_zero_fp(
-            rows, labels, forest.ForestConfig(trees=20, seed=4)
+            rows, labels, forest.ForestConfig(trees=50, seed=4)
         )
-        assert f.cutoff is not None
+        assert f.cutoff is not None and f.cutoff < 1
         preds = [forest.score(f, r) >= f.cutoff for r in rows[labels == 0]]
         assert not any(preds)
 
@@ -109,8 +111,10 @@ class TestCalibration:
             pipeline.itect_classify(data, "d", f, params, [zoo], zoo)
 
     def test_cutoff_matches_brute_force_out_of_bag_scores(self):
+        # 50 trees: with 25, some benign row's few out-of-bag trees all
+        # vote malware, and calibration refuses the data.
         rows, labels = two_blob_data(n_per_class=40, gap=1.0, seed=13)
-        cfg = forest.ForestConfig(trees=25, seed=8)
+        cfg = forest.ForestConfig(trees=50, seed=8)
         f = forest.calibrate_zero_fp(rows, labels, cfg)
         plain = forest.train_forest(rows, labels, cfg)
         assert [t.to_dict() for t in f.trees] == [t.to_dict() for t in plain.trees]
@@ -128,7 +132,7 @@ class TestCalibration:
                 sub = forest.TrainedForest(trees=trees, config=cfg, feature_cols=[])
                 oob[i] = forest.score(sub, rows[i])
         top = max(oob.values())
-        assert top > 0
+        assert 0 < top < 1
         assert f.calibration["benign_validation_max"] == top
         assert f.calibration["benign_rows"] == len(oob)
         assert f.cutoff == top + f.vote_step
@@ -156,6 +160,16 @@ class TestCalibration:
         rows = np.array([[0.0], [1.0]])
         with pytest.raises(DataError, match="bootstrap"):
             forest.calibrate_zero_fp(rows, [0, 1], forest.ForestConfig(trees=1, seed=seed))
+
+
+    def test_benign_row_that_scores_one_is_data_error(self):
+        # Row 0 is benign but shares its features with 30 malware rows, so
+        # every tree that left it out votes malware: its out-of-bag score
+        # is 1.0, and a cutoff above it could flag nothing.
+        rows = np.array([[0.0]] * 31 + [[10.0]] * 30)
+        labels = [0] + [1] * 30 + [0] * 30
+        with pytest.raises(DataError, match="scores 1.0"):
+            forest.calibrate_zero_fp(rows, labels, forest.ForestConfig(trees=5, seed=0))
 
 
 class TestSerialization:

@@ -142,7 +142,10 @@ class TestTrainingOracle:
             dense = sum(
                 np.bincount(slamm.encode_ngrams(d, k), minlength=256**k) for d in docs
             )
-            oracle.counts[k - 1][:] = dense
+            if slamm._bincounted(k):
+                oracle.counts[k - 1][:] = dense
+            else:
+                oracle.counts[k - 1] = dense.astype(np.min_scalar_type(dense.max()))
             np.testing.assert_array_equal(trained.counts[k - 1], dense)
             assert trained.counts[k - 1].dtype == oracle.counts[k - 1].dtype
         oracle.finalize()
@@ -157,18 +160,60 @@ class TestTrainingOracle:
         assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
     def test_trigram_training_allocates_no_second_table(self, synth_files):
-        # The int32 trigram table is 64 MiB; counting by sorted runs adds
-        # memory per pending code, not a second array over all 256^3 cells.
-        table = 256**3 * np.dtype(np.int32).itemsize
-        docs = synth_files[0]["benign"]
+        # The trigram table is 16 MiB while its counts fit in 8 bits;
+        # counting by sorted runs adds memory per pending code, not a
+        # second array over all 256^3 cells.
+        self._check_training_peak(synth_files, 0, np.uint8)
+
+    def test_widened_trigram_training_allocates_no_second_table(self, synth_files):
+        # A run of zeros makes one count 998: the table widens to 32 MiB,
+        # and only the 16 MiB one it replaces is held beside it.
+        self._check_training_peak(synth_files, 1000, np.uint16)
+
+    def _check_training_peak(self, synth_files, zeros, dtype):
+        table = 256**3 * np.dtype(dtype).itemsize
+        docs = synth_files[0]["benign"] + [b"\0" * zeros]
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            slamm.NgramModel.train(docs, n=3)
+            model = slamm.NgramModel.train(docs, n=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert model.counts[2].dtype == dtype
         assert table <= peak < 2 * table
+
+    def test_uint64_table_adds_exactly(self):
+        # A count past 2^32 widens the table to uint64; the next flush
+        # must add to it in int64, not fail or round through float64.
+        model = slamm.NgramModel(n=3, smoothing=slamm.SmoothingParams())
+        model.add_document(b"\0" * 10)
+        model._flush(2)
+        model.counts[2] = model.counts[2].astype(np.uint64)
+        model.counts[2][0] = (1 << 53) + 1
+        model.add_document(b"\0" * 10)
+        model.finalize()
+        assert model.counts[2].dtype == np.uint64
+        assert model.count_of(b"\0\0\0") == (1 << 53) + 9
+
+    def test_multi_flush_saves_like_one_flush(self, tmp_path, monkeypatch):
+        # Each run of 200 zeros adds 198 to one trigram count, which only
+        # the later flush lifts past 255: the uint8 table widens to uint16
+        # while training, between flushes.
+        rng = np.random.default_rng(7)
+        docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(4)]
+        docs[1:1] = [b"\0" * 200]
+        docs[4:4] = [b"\0" * 200]
+        saved = []
+        for flush in (1000, 1 << 23):
+            monkeypatch.setattr(slamm, "_FLUSH_CODES", flush)
+            model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
+            assert model.counts[2].dtype == np.uint16
+            assert model.count_of(b"\0\0\0") >= 396
+            path = tmp_path / f"flush-{flush}.slmm"
+            model.save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
     def test_trigram_load_allocates_no_int32_table(self, synth_files, tmp_path):
         # A zoo whose counts fit in 16 bits loads its trigram table as
@@ -398,6 +443,15 @@ class TestSerialization:
         with pytest.raises(DataError, match=match):
             slamm.NgramModel.load(path)
 
+    def test_count_past_int32_loads_as_uint32(self, tmp_path):
+        # Training sums counts in int64, so a saved count may pass 2^31 - 1.
+        path = tmp_path / "m.slmm"
+        slamm.NgramModel.train([b"abracadabra"], n=3, zoo_id="zoo").save(path)
+        path.write_bytes(_patch_record(path.read_bytes(), order=3, count=1 << 31))
+        model = slamm.NgramModel.load(path)
+        assert model.counts[2].dtype == np.uint32
+        assert model.counts[2].max() == 1 << 31
+
     def test_count_grown_between_passes_is_data_error(self, tmp_path):
         # The trigram table's type comes from a first pass over the
         # records; a count that outgrows it by the second pass must be
@@ -489,6 +543,7 @@ class TestLoadedTables:
         assert loaded.counts[n - 1].dtype == (top_dtype if n == 3 else np.int64)
         for a, b in zip(trained.counts, loaded.counts, strict=True):
             assert np.array_equal(a, b)
+            assert a.dtype == b.dtype
         suspects = [docs[0][:500], b"\0" * 300 + b"abracadabra", bytes(range(256))]
         suspects.append(rng.integers(0, 256, 2000).astype(np.uint8).tobytes())
         for data in suspects:
