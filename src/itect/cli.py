@@ -148,6 +148,10 @@ def _cmd_ents(args) -> int:
     if args.alpha == "auto":
         mal = [e.size_bytes for e in entries if e.label == "malware"]
         ben = [e.size_bytes for e in entries if e.label == "benign"]
+        for label, sizes in (("malware", mal), ("benign", ben)):
+            if not sizes:
+                raise DataError(f"--alpha auto needs {label} entries and none are "
+                                "selected; --alpha N needs none")
         alpha = ents.compute_alpha(mal, ben, args.chunk)
     else:
         alpha = int(args.alpha)
@@ -459,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-leaf", type=_at_least(int, 1), default=1)
     p.add_argument("--folds", type=int, help="ignored: the cutoff is set out of bag")
     p.add_argument("--prune-cutoff", type=_at_least(float, 0, 1), default=0.8)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, 0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -514,7 +518,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=_at_least(int, 1), required=True)
     p.add_argument("--size-min", type=int, default=65536)
     p.add_argument("--size-max", type=int, default=131072)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, 0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest-out")
     p.set_defaults(func=_cmd_synth)

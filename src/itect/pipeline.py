@@ -36,39 +36,15 @@ class Verdict:
         return self.slamm_verdict.overall if self.slamm_verdict else False
 
     def to_json(self) -> str:
-        d = {
-            "digest": self.digest,
-            "ents_verdict": self.ents_verdict,
-            "ents_score": self.ents_score,
-            "slamm": None,
-            "itect_verdict": self.itect_verdict,
-            "ents_abstained": self.ents_abstained,
-            "slamm_abstained": self.slamm_abstained,
-            "timings": self.timings,
-        }
-        if self.slamm_verdict is not None:
-            d["slamm"] = {
-                "cx": self.slamm_verdict.cx,
-                "cd": self.slamm_verdict.cd,
-                "cmse": self.slamm_verdict.cmse,
-                "overall": self.slamm_verdict.overall,
-                "diagnostics": self.slamm_verdict.diagnostics,
-            }
+        d = asdict(self)
+        d["slamm"] = d.pop("slamm_verdict")
         return json.dumps(d, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "Verdict":
         try:
             d = json.loads(line)
-            sv = None
-            if d["slamm"] is not None:
-                sv = slamm.SlammVerdict(
-                    cx=d["slamm"]["cx"],
-                    cd=d["slamm"]["cd"],
-                    cmse=d["slamm"]["cmse"],
-                    overall=d["slamm"]["overall"],
-                    diagnostics=d["slamm"]["diagnostics"],
-                )
+            sv = None if d["slamm"] is None else slamm.SlammVerdict(**d["slamm"])
             return cls(
                 digest=d["digest"],
                 ents_verdict=d["ents_verdict"],

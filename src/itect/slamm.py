@@ -11,9 +11,9 @@ A suspect is flagged as malware only when all three agree; with
 several malware models each classifier is OR-ed across them first.
 
 All three score one sparse histogram of the suspect, built once per
-file, and one gather per zoo of the zoo's top-order counts at the
-suspect's distinct codes: cross-entropy smooths those counts, KLD and
-MSE divide them by the zoo's total.
+file, and one gather per zoo of its top-order counts at the suspect's
+codes: cross-entropy smooths them; KLD and MSE divide them by the zoo's
+total and read its support size and sum of squares (:class:`ZooMasses`).
 
 Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
@@ -23,9 +23,9 @@ not fit in desk memory; the reference configuration is n = 3).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,14 +376,6 @@ class NgramModel:
 
     # -- probabilities -----------------------------------------------
 
-    def count_of(self, gram: bytes) -> int:
-        """Raw count of a k-gram, k <= n."""
-        self._require_finalized()
-        k = len(gram)
-        if not 1 <= k <= self.n:
-            raise ValueError("gram length must be in 1..n")
-        return int(self.counts[k - 1][int.from_bytes(gram, "big")])
-
     def _discount_step(
         self, k: int, counts: np.ndarray, ctx: np.ndarray, lower: np.ndarray
     ) -> np.ndarray:
@@ -433,29 +425,13 @@ class NgramModel:
         codes = base + np.arange(256, dtype=np.int64)
         return self._cond_probs_from_codes(codes)
 
-    def sequence_logprob(self, data: bytes) -> float:
-        """Sum of log2 q(w_i | history) over all full-order positions."""
-        self._require_finalized()
-        codes = encode_ngrams(data, self.n)
-        return float(np.log2(self._cond_probs_from_codes(codes)).sum())
-
-    def histogram(self) -> "NgramHistogram":
-        """Unsmoothed relative frequencies of the zoo's top-order n-grams.
-
-        A view on ``counts[n-1]``, not a copy; support size, total and
-        sum of squares come from the tally made at finalize.
-        """
+    def histogram(self) -> "ZooMasses":
+        """The zoo's :class:`ZooMasses`, from the tally made at finalize."""
         self._require_finalized()
         support, total, sumsq = self._top
         if total == 0:
             raise DataError("model has no top-order counts")
-        return NgramHistogram(
-            n=self.n,
-            support_size=support,
-            _counts=self.counts[self.n - 1],
-            _total=total,
-            _sumsq=sumsq / total**2,
-        )
+        return ZooMasses(support, total, sumsq / total**2)
 
     # -- serialization -----------------------------------------------
 
@@ -519,30 +495,38 @@ class NgramModel:
             return model.finalize(_read_records(fh, n, counts))
 
 
+class ZooMasses(NamedTuple):
+    """What KLD and MSE read of a zoo besides its gathered counts, whose
+    masses are ``counts[n-1][codes] / total``."""
+
+    support_size: int
+    total: int
+    sum_of_squares: float
+
+
 @dataclass
 class NgramHistogram:
-    """Raw n-gram probability masses.
-
-    A suspect's histogram is sparse: sorted ``keys`` with aligned
-    ``probs``. A zoo's (:meth:`NgramModel.histogram`) is a count view
-    instead: ``lookup(codes)`` is ``counts[codes] / total`` read from the
-    model's top-order count array in place.
-    """
+    """A suspect's raw n-gram probability masses: sorted ``keys``,
+    aligned ``probs`` and their sum of squares."""
 
     n: int
-    support_size: int
-    keys: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    _counts: np.ndarray | None = field(default=None, repr=False)
-    _total: int = 0
-    _sumsq: float | None = field(default=None, repr=False)
+    keys: np.ndarray
+    probs: np.ndarray
+
+    @property
+    def support_size(self) -> int:
+        return len(self.keys)
+
+    @property
+    def sum_of_squares(self) -> float:
+        return float((self.probs**2).sum())
 
     @classmethod
     def from_data(cls, data: bytes, n: int) -> "NgramHistogram":
         codes = encode_ngrams(data, n, np.int32 if 256**n <= 1 << 31 else np.int64)
         keys, counts = _sorted_runs(codes)
         probs = counts / counts.sum()
-        return cls(n=n, support_size=len(keys), keys=keys.astype(np.int64), probs=probs)
+        return cls(n=n, keys=keys.astype(np.int64), probs=probs)
 
     @classmethod
     def from_masses(cls, masses: dict[bytes, float], n: int) -> "NgramHistogram":
@@ -552,27 +536,14 @@ class NgramHistogram:
         probs = np.array(
             [masses[k.item().to_bytes(n, "big")] for k in keys], dtype=np.float64
         )
-        return cls(n=n, support_size=len(keys), keys=keys, probs=probs)
+        return cls(n=n, keys=keys, probs=probs)
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Masses at the given codes; zero where absent."""
-        if self._counts is not None:
-            return self._counts[codes] / self._total
         pos = np.searchsorted(self.keys, codes)
         pos = np.clip(pos, 0, len(self.keys) - 1)
         hit = self.keys[pos] == codes
         return np.where(hit, self.probs[pos], 0.0)
-
-    def sum_of_squares(self) -> float:
-        if self._sumsq is None:
-            self._sumsq = float((self.probs**2).sum())
-        return self._sumsq
-
-    def as_dict(self) -> dict[bytes, float]:
-        return {
-            int(k).to_bytes(self.n, "big"): float(p)
-            for k, p in zip(self.keys, self.probs)
-        }
 
 
 def _top_counts(model: NgramModel, p: NgramHistogram) -> np.ndarray:
@@ -589,8 +560,8 @@ def cross_entropy(
     """Bits per token the model needs to encode a suspect.
 
     ``p`` is the suspect's top-order histogram; the result,
-    -sum p * log2 q(p.keys), equals ``-sequence_logprob(data) / tokens``
-    but evaluates the model once per distinct n-gram, not per position.
+    -sum p * log2 q(p.keys), is the mean of -log2 q(w_i | history) over
+    the suspect's positions, evaluated once per distinct n-gram.
     ``top`` holds the model's top-order counts at ``p.keys`` if the
     caller has already gathered them.
     """
@@ -599,12 +570,12 @@ def cross_entropy(
     return float(-(p.probs * np.log2(model._cond_probs_from_codes(p.keys, top))).sum())
 
 
-def kld(
-    p: NgramHistogram, q: NgramHistogram, eps: float = 1e-10, qv: np.ndarray | None = None
-) -> float:
+def kld(p: NgramHistogram, q: NgramHistogram | ZooMasses, eps: float = 1e-10,
+        qv: np.ndarray | None = None) -> float:
     """Relative entropy of p from q, flooring zero q-masses at eps.
 
-    ``qv`` holds q's masses at ``p.keys`` if the caller has them.
+    ``qv`` holds q's masses at ``p.keys``; it is required when q is a
+    zoo's :class:`ZooMasses`.
     """
     if p.support_size == 0:
         raise DataError("p has empty support")
@@ -614,13 +585,12 @@ def kld(
     return float((p.probs * np.log2(p.probs / qv)).sum())
 
 
-def mse(
-    model_hist: NgramHistogram, p_hist: NgramHistogram, qv: np.ndarray | None = None
-) -> float:
+def mse(model_hist: NgramHistogram | ZooMasses, p_hist: NgramHistogram,
+        qv: np.ndarray | None = None) -> float:
     """Mean squared mass difference over the model's event set.
 
-    ``qv`` holds the model's masses at ``p_hist.keys`` if the caller has
-    them.
+    ``qv`` holds the model's masses at ``p_hist.keys``; it is required
+    when the model is a zoo's :class:`ZooMasses`.
     """
     m = model_hist.support_size
     if m == 0:
@@ -630,7 +600,7 @@ def mse(
     inside = qv > 0
     pv = p_hist.probs[inside]
     cross = float((pv * pv - 2.0 * pv * qv[inside]).sum())
-    return (model_hist.sum_of_squares() + cross) / m
+    return (model_hist.sum_of_squares + cross) / m
 
 
 @dataclass(frozen=True)
@@ -662,12 +632,12 @@ def slamm_classify(
 
     def scores(model: NgramModel) -> dict[str, float]:
         top = _top_counts(model, p_hist)
-        hist = model.histogram()
-        qv = top / hist._total
+        masses = model.histogram()
+        qv = top / masses.total
         return {
             "cross_entropy": cross_entropy(model, p_hist, top),
-            "kld": kld(p_hist, hist, qv=qv),
-            "mse": mse(hist, p_hist, qv=qv),
+            "kld": kld(p_hist, masses, qv=qv),
+            "mse": mse(masses, p_hist, qv=qv),
         }
 
     base = scores(benign)

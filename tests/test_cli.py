@@ -266,6 +266,20 @@ class TestPipelineCommands:
         )
         assert rc == 0
 
+    def test_alpha_auto_names_the_missing_label(self, tmp_path, capsys):
+        manifest = tmp_path / "benign.jsonl"
+        rc = run(
+            "synth", "--profile", "benign_like", "--count", "2", "--size-min", "4096",
+            "--size-max", "4096", "--seed", "1", "--out", str(tmp_path / "b"),
+            "--manifest-out", str(manifest),
+        )
+        assert rc == 0
+        capsys.readouterr()
+        assert run("ents", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")) == 2
+        err = capsys.readouterr().err
+        assert "itect: data error: --alpha auto needs malware entries" in err
+        assert "--alpha N" in err
+
     def test_slamm_classify_prints_jsonl(self, workspace, trained, capsys):
         m = CorpusManifest.load(workspace["manifest"])
         test_files = [e.path for e in m.by_split("test")][:3]
@@ -535,6 +549,7 @@ class TestPipelineCommands:
          "--prune-cutoff", "nan"],
         ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
          "--prune-cutoff", "1.5"],
+        ["train", "--features", "{features}", "--out", "{tmp}/t", "--seed", "-1"],
         ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",
          "--level", "-1"],
         ["baseline", "cr", "--manifest", "{manifest}", "--out", "{tmp}/c.csv",
@@ -545,6 +560,8 @@ class TestPipelineCommands:
          "--seed", "1", "--out", "{tmp}/s.json", "--fractions", "a"],
         ["synth", "--profile", "benign_like", "--seed", "1", "--out", "{tmp}/s",
          "--count", "-1"],
+        ["synth", "--profile", "benign_like", "--count", "1", "--out", "{tmp}/s",
+         "--seed", "-1"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +78,16 @@ class TestVerdictJson:
             ents_abstained=True, slamm_abstained=True,
         )
         assert pipeline.Verdict.from_json(v.to_json()) == v
+
+    def test_unknown_slamm_key_is_data_error(self):
+        sv = slamm.SlammVerdict(cx=False, cd=False, cmse=False, overall=False,
+                                diagnostics={})
+        v = pipeline.Verdict(digest="d", ents_verdict=False, ents_score=0.0,
+                             slamm_verdict=sv, itect_verdict=False)
+        d = json.loads(v.to_json())
+        d["slamm"]["extra"] = 1
+        with pytest.raises(DataError, match="bad verdict line"):
+            pipeline.Verdict.from_json(json.dumps(d))
 
 
 class TestPaddingCost:

@@ -17,6 +17,31 @@ def uniform_unigram_model():
     return slamm.NgramModel.train([bytes(range(256))], n=1)
 
 
+def count_of(model, gram):
+    """Raw count of a k-gram, k <= n."""
+    return int(model.counts[len(gram) - 1][int.from_bytes(gram, "big")])
+
+
+def sequence_logprob(model, data):
+    """Sum of log2 q(w_i | history) over all full-order positions."""
+    codes = slamm.encode_ngrams(data, model.n)
+    return float(np.log2(model._cond_probs_from_codes(codes)).sum())
+
+
+def as_dict(hist):
+    """A sparse histogram as {n-gram: mass}."""
+    return {
+        int(k).to_bytes(hist.n, "big"): float(p) for k, p in zip(hist.keys, hist.probs)
+    }
+
+
+def zoo_masses(model, p):
+    """A zoo's three numbers and its masses at the suspect's keys, as
+    ``slamm_classify`` reads them."""
+    masses = model.histogram()
+    return masses, model.counts[model.n - 1][p.keys] / masses.total
+
+
 def brute_force_logprob(model, data):
     """Scalar re-derivation of the back-off chain, token by token."""
     d = model.smoothing.discount
@@ -24,7 +49,7 @@ def brute_force_logprob(model, data):
     total = 0.0
     for i in range(model.n - 1, len(data)):
         w = data[i]
-        q = max(model.count_of(bytes([w])) - d, 0.0) / max(model.total_tokens, 1)
+        q = max(count_of(model, bytes([w])) - d, 0.0) / max(model.total_tokens, 1)
         q += (
             d
             * np.count_nonzero(model.counts[0])
@@ -34,14 +59,14 @@ def brute_force_logprob(model, data):
         for k in range(2, model.n + 1):
             ctx = data[i - k + 1 : i]
             ctx_total = sum(
-                model.count_of(ctx + bytes([b])) for b in range(256)
+                count_of(model, ctx + bytes([b])) for b in range(256)
             )
             if ctx_total == 0:
                 continue
             distinct = sum(
-                model.count_of(ctx + bytes([b])) > 0 for b in range(256)
+                count_of(model, ctx + bytes([b])) > 0 for b in range(256)
             )
-            gram = model.count_of(ctx + bytes([w]))
+            gram = count_of(model, ctx + bytes([w]))
             q = max(gram - d, 0.0) / ctx_total + (d * distinct / ctx_total) * q
         total += math.log2(max(q, eps))
     return total
@@ -95,11 +120,11 @@ class TestEncodeNgrams:
 class TestNgramModelTraining:
     def test_counts_golden(self):
         model = slamm.NgramModel.train([b"abab", b"ab"], n=2)
-        assert model.count_of(b"a") == 3
-        assert model.count_of(b"b") == 3
-        assert model.count_of(b"ab") == 3
-        assert model.count_of(b"ba") == 1
-        assert model.count_of(b"aa") == 0
+        assert count_of(model, b"a") == 3
+        assert count_of(model, b"b") == 3
+        assert count_of(model, b"ab") == 3
+        assert count_of(model, b"ba") == 1
+        assert count_of(model, b"aa") == 0
         assert model.total_tokens == 6
 
     def test_short_documents_skipped(self):
@@ -108,7 +133,7 @@ class TestNgramModelTraining:
             [b"ab", b"abcabc"], n=3, diagnostics=diags
         )
         assert len(diags) == 1
-        assert model.count_of(b"abc") == 2
+        assert count_of(model, b"abc") == 2
 
     def test_empty_zoo(self):
         with pytest.raises(DataError, match="empty zoo"):
@@ -194,7 +219,7 @@ class TestTrainingOracle:
         model.add_document(b"\0" * 10)
         model.finalize()
         assert model.counts[2].dtype == np.uint64
-        assert model.count_of(b"\0\0\0") == (1 << 53) + 9
+        assert count_of(model, b"\0\0\0") == (1 << 53) + 9
 
     def test_multi_flush_saves_like_one_flush(self, tmp_path, monkeypatch):
         # Each run of 200 zeros adds 198 to one trigram count, which only
@@ -209,7 +234,7 @@ class TestTrainingOracle:
             monkeypatch.setattr(slamm, "_FLUSH_CODES", flush)
             model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
             assert model.counts[2].dtype == np.uint16
-            assert model.count_of(b"\0\0\0") >= 396
+            assert count_of(model, b"\0\0\0") >= 396
             path = tmp_path / f"flush-{flush}.slmm"
             model.save(path)
             saved.append(path.read_bytes())
@@ -256,14 +281,14 @@ class TestSmoothing:
     def test_logprob_matches_brute_force(self):
         model = slamm.NgramModel.train([b"abracadabra", b"banana"], n=2)
         for data in (b"abra", b"nab", b"zzq", b"cadab"):
-            assert model.sequence_logprob(data) == pytest.approx(
+            assert sequence_logprob(model, data) == pytest.approx(
                 brute_force_logprob(model, data), abs=1e-12
             )
 
     def test_logprob_matches_brute_force_trigram(self):
         model = slamm.NgramModel.train([b"mississippi river"], n=3)
         for data in (b"missis", b"sip", b"xyz", b"river"):
-            assert model.sequence_logprob(data) == pytest.approx(
+            assert sequence_logprob(model, data) == pytest.approx(
                 brute_force_logprob(model, data), abs=1e-12
             )
 
@@ -278,7 +303,7 @@ class TestSmoothing:
             bytes(range(n)),
         ):
             ce = slamm.cross_entropy(model, slamm.NgramHistogram.from_data(data, n))
-            expect = -model.sequence_logprob(data) / (len(data) - n + 1)
+            expect = -sequence_logprob(model, data) / (len(data) - n + 1)
             assert ce == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -549,9 +574,11 @@ class TestLoadedTables:
         for data in suspects:
             p = slamm.NgramHistogram.from_data(data, n)
             assert slamm.cross_entropy(loaded, p) == slamm.cross_entropy(trained, p)
-            h_trained, h_loaded = trained.histogram(), loaded.histogram()
-            assert slamm.kld(p, h_loaded) == slamm.kld(p, h_trained)
-            assert slamm.mse(h_loaded, p) == slamm.mse(h_trained, p)
+            (h_trained, q_trained), (h_loaded, q_loaded) = (
+                zoo_masses(trained, p), zoo_masses(loaded, p)
+            )
+            assert slamm.kld(p, h_loaded, qv=q_loaded) == slamm.kld(p, h_trained, qv=q_trained)
+            assert slamm.mse(h_loaded, p, q_loaded) == slamm.mse(h_trained, p, q_trained)
             v_trained = slamm.slamm_classify(data, [trained], trained)
             v_loaded = slamm.slamm_classify(data, [loaded], loaded)
             assert v_loaded == v_trained
@@ -573,9 +600,9 @@ class TestLoadedTables:
         h_trained, h_loaded = trained.histogram(), loaded.histogram()
         top = trained.counts[n - 1]
         assert h_trained.support_size == h_loaded.support_size == np.count_nonzero(top)
-        assert h_trained._total == h_loaded._total == top.sum()
-        assert h_trained.sum_of_squares() == h_loaded.sum_of_squares()
-        assert h_loaded.sum_of_squares() == pytest.approx(
+        assert h_trained.total == h_loaded.total == top.sum()
+        assert h_trained.sum_of_squares == h_loaded.sum_of_squares
+        assert h_loaded.sum_of_squares == pytest.approx(
             ((top[top != 0] / top.sum()) ** 2).sum(), rel=1e-15
         )
 
@@ -614,10 +641,12 @@ class TestSlammClassifyDiagnostics:
             p = slamm.NgramHistogram.from_data(data, n)
             for zoo, model in {"benign": benign, **models}.items():
                 got = v.diagnostics[zoo]
-                hist = model.histogram()
+                masses, qv = zoo_masses(model, p)
                 assert got["cross_entropy"] == slamm.cross_entropy(model, p)
-                assert got["kld"] == slamm.kld(p, hist)
-                assert got["mse"] == pytest.approx(slamm.mse(hist, p), rel=1e-15, abs=0)
+                assert got["kld"] == slamm.kld(p, masses, qv=qv)
+                assert got["mse"] == pytest.approx(
+                    slamm.mse(masses, p, qv), rel=1e-15, abs=0
+                )
 
 
 def _pooled_counts(docs, n):
@@ -629,13 +658,16 @@ def _pooled_counts(docs, n):
 class TestHistogram:
     def test_from_data_golden(self):
         h = slamm.NgramHistogram.from_data(b"abab", 2)
-        assert h.as_dict() == {b"ab": pytest.approx(2 / 3), b"ba": pytest.approx(1 / 3)}
+        assert as_dict(h) == {b"ab": pytest.approx(2 / 3), b"ba": pytest.approx(1 / 3)}
 
     def test_pooled_zoo(self):
         # A zoo's masses pool the n-grams of all its documents.
-        h = slamm.NgramModel.train([b"ab", b"ab", b"cd"], n=2).histogram()
-        got = h.lookup(np.array([0x6162, 0x6364, 0x6263]))
+        model = slamm.NgramModel.train([b"ab", b"ab", b"cd"], n=2)
+        masses = model.histogram()
+        got = model.counts[1][np.array([0x6162, 0x6364, 0x6263])] / masses.total
         np.testing.assert_allclose(got, [2 / 3, 1 / 3, 0.0], rtol=1e-15)
+        assert masses.support_size == 2
+        assert masses.sum_of_squares == pytest.approx(5 / 9, rel=1e-15)
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -646,27 +678,29 @@ class TestHistogram:
     def test_model_histogram_matches_raw(self):
         docs = [b"abracadabra", b"banana"]
         keys, counts = _pooled_counts(docs, 2)
-        h = slamm.NgramModel.train(docs, n=2).histogram()
-        assert h.support_size == len(keys)
-        assert h.lookup(keys) == pytest.approx(counts / counts.sum())
+        model = slamm.NgramModel.train(docs, n=2)
+        masses = model.histogram()
+        assert masses.support_size == len(keys)
+        assert masses.total == counts.sum()
+        assert model.counts[1][keys] / masses.total == pytest.approx(counts / counts.sum())
+        assert masses.sum_of_squares == pytest.approx(((counts / counts.sum()) ** 2).sum())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_count_view_scores_like_pooled(self, n):
-        # The model's count view gives the same KLD and MSE as the pooled
-        # sparse histogram of the same documents.
+        # A zoo's gathered counts and three numbers give the same KLD and
+        # MSE as the pooled sparse histogram of the same documents.
         rng = np.random.default_rng(10 + n)
         docs = [b"abracadabra", b"banana"]
         docs += [rng.integers(0, 32, 1500).astype(np.uint8).tobytes() for _ in range(3)]
-        view = slamm.NgramModel.train(docs, n=n).histogram()
+        model = slamm.NgramModel.train(docs, n=n)
         keys, counts = _pooled_counts(docs, n)
-        raw = slamm.NgramHistogram(
-            n=n, support_size=len(keys), keys=keys, probs=counts / counts.sum()
-        )
-        assert view.support_size == raw.support_size
+        raw = slamm.NgramHistogram(n=n, keys=keys, probs=counts / counts.sum())
+        assert model.histogram().support_size == raw.support_size
         for suspect in (docs[0], rng.integers(0, 40, 800).astype(np.uint8).tobytes()):
             p = slamm.NgramHistogram.from_data(suspect, n)
-            assert slamm.kld(p, view) == pytest.approx(slamm.kld(p, raw), abs=1e-12)
-            assert slamm.mse(view, p) == pytest.approx(slamm.mse(raw, p), abs=1e-12)
+            masses, qv = zoo_masses(model, p)
+            assert slamm.kld(p, masses, qv=qv) == pytest.approx(slamm.kld(p, raw), abs=1e-12)
+            assert slamm.mse(masses, p, qv) == pytest.approx(slamm.mse(raw, p), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_from_data_matches_unique(self, n):
@@ -753,7 +787,7 @@ class TestMse:
         p = slamm.NgramHistogram.from_masses(
             {bytes([k]): v / sum(pc.values()) for k, v in pc.items()}, 1
         )
-        qd, pd = q.as_dict(), p.as_dict()
+        qd, pd = as_dict(q), as_dict(p)
         brute = sum((pd.get(g, 0.0) - qd[g]) ** 2 for g in qd) / len(qd)
         assert slamm.mse(q, p) == pytest.approx(brute, abs=1e-12)
 
