@@ -8,19 +8,20 @@ outputs get a ``<name>.meta.json`` sidecar instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, baselines, corpus, ents, forest as forest_mod, pipeline, slamm, synth
 from .errors import DataError, ItectError
+from .pool import SharedPool
 
 
 def _count_or_auto(value: str) -> str:
@@ -73,15 +74,29 @@ def _threads(value: str | int | None) -> int:
         except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"ITECT_THREADS: {exc}") from None
     if value == "auto":
-        return os.cpu_count() or 1
+        return _usable_cores()
     return int(value)
 
 
-def _pool_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform has one (a cpuset or ``taskset`` narrows it), else the
+    machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _shared_pool(args):
+    """A pool of ``--threads`` cores, the calling thread included, for the
+    whole command; None for one thread, so the serial code runs."""
+    threads = _threads(args.threads)
+    if threads <= 1:
+        yield None
+        return
+    with SharedPool(threads - 1) as pool:
+        yield pool
 
 
 def _provenance(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
@@ -161,7 +176,8 @@ def _cmd_ents(args) -> int:
         data = corpus.load_sample(entry.path)
         return ents.entropy_profile(data, params, source_digest=entry.digest).values
 
-    rows = _pool_map(profile_of, entries, _threads(args.threads))
+    with _shared_pool(args) as pool:
+        rows = list((pool.map if pool else map)(profile_of, entries))
     matrix = ents.FeatureMatrix(
         rows=np.array(rows),
         col_index=list(range(params.n_points)),
@@ -197,9 +213,12 @@ def _cmd_train(args) -> int:
     )
     trained.save(args.out)
     _write_sidecar(args.out, args, [args.features])
+    calibration = trained.calibration
     print(
         f"trained {config.trees} trees on {pruned.rows.shape[0]} rows, "
-        f"{len(pruned.col_index)} retained dims, cutoff={trained.cutoff:.4f}"
+        f"{len(pruned.col_index)} retained dims, cutoff={trained.cutoff:.4f}, "
+        f"risk_bound={calibration['risk_bound']:.4f}, "
+        f"min_oob_voters={calibration['min_oob_voters']}"
     )
     return 0
 
@@ -255,26 +274,19 @@ def _readable_samples(paths: list[str]):
 def _cmd_slamm_classify(args) -> int:
     malware, benign = _load_slamm_models(args.models, args.benign)
     n = benign.n
-    for path, data in _readable_samples(args.files):
-        if len(data) < n:  # classify abstains on such a file
-            print(
-                f"diagnostic: {path}: shorter than the model order ({len(data)} < {n}), skipped",
-                file=sys.stderr,
-            )
-            continue
-        v = slamm.slamm_classify(data, malware, benign)
-        print(
-            json.dumps(
-                {
-                    "path": str(path),
-                    "cx": v.cx,
-                    "cd": v.cd,
-                    "cmse": v.cmse,
-                    "overall": v.overall,
-                },
-                sort_keys=True,
-            )
-        )
+    with _shared_pool(args) as pool:
+        zoo_map = pool.map if pool else map
+        for path, data in _readable_samples(args.files):
+            if len(data) < n:  # classify abstains on such a file
+                print(
+                    f"diagnostic: {path}: shorter than the model order ({len(data)} < {n}), skipped",
+                    file=sys.stderr,
+                )
+                continue
+            v = slamm.slamm_classify(data, malware, benign, zoo_map)
+            verdict = {"path": str(path), "cx": v.cx, "cd": v.cd, "cmse": v.cmse,
+                       "overall": v.overall}
+            print(json.dumps(verdict, sort_keys=True))
     return 0
 
 
@@ -322,10 +334,13 @@ def _cmd_classify(args) -> int:
     malware, benign = _load_slamm_models(args.slamm, args.benign)
     t0 = time.perf_counter()
     lines = []
-    for _, data in _readable_samples(args.files):
-        digest = hashlib.sha256(data).hexdigest()
-        v = pipeline.itect_classify(data, digest, trained, params, malware, benign)
-        lines.append(v.to_json())
+    with _shared_pool(args) as pool:
+        for _, data in _readable_samples(args.files):
+            digest = hashlib.sha256(data).hexdigest()
+            v = pipeline.itect_classify(
+                data, digest, trained, params, malware, benign, pool=pool
+            )
+            lines.append(v.to_json())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(

@@ -298,6 +298,13 @@ def calibrate_zero_fp(
     strictly below it. A benign row that every tree drew has no
     out-of-bag score and is skipped; if no benign row has one, DataError.
     So is a benign row that scores 1.0, since no score can exceed it.
+
+    ``calibration`` records two numbers that say how far to trust the
+    cutoff. ``risk_bound`` is 1/(m+1) for the m scored benign rows: a
+    benign file exchangeable with them scores above all m with at most
+    that probability (Vovk et al., *Algorithmic Learning in a Random
+    World*, 2005). ``min_oob_voters`` is the fewest trees any of them
+    was scored by; a score from few trees moves in coarse steps.
     """
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -323,6 +330,8 @@ def calibrate_zero_fp(
         "seed": config.seed,
         "benign_validation_max": max_benign,
         "benign_rows": len(scored),
+        "min_oob_voters": int(voters[scored].min()),
+        "risk_bound": 1.0 / (len(scored) + 1),
     }
     return final
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import ents, forest as forest_mod, slamm
 from .errors import DataError
+from .pool import SharedPool
 
 
 @dataclass
@@ -142,29 +143,44 @@ def itect_classify(
     ents_params: ents.EntsParams,
     malware_models: Sequence[slamm.NgramModel],
     benign_model: slamm.NgramModel,
+    pool: SharedPool | None = None,
 ) -> Verdict:
-    """OR of the two detectors, with both sub-verdicts kept for audit."""
-    timings: dict[str, float] = {}
+    """OR of the two detectors, with both sub-verdicts kept for audit.
 
+    With a ``pool``, EnTS runs on a helper thread while this thread
+    builds the suspect's n-gram histogram, and the zoos are then scored
+    on the pool's map. The verdict is the same; ``timings`` holds each
+    detector's own wall time, and the two overlap.
+    """
     ents_abstained = len(data) < ents_params.chunk_size
-    ents_score = 0.0
-    ents_verdict = False
-    t0 = time.perf_counter()
-    if not ents_abstained:
-        profile = ents.entropy_profile(data, ents_params, source_digest=digest)
-        row = profile.values[trained_forest.feature_cols]
-        ents_score = forest_mod.score(trained_forest, row)
-        if trained_forest.cutoff is None:
-            raise DataError("forest is not calibrated")
-        ents_verdict = ents_score >= trained_forest.cutoff
-    timings["ents"] = time.perf_counter() - t0
-
     slamm_abstained = len(data) < benign_model.n
-    sv = None
-    t0 = time.perf_counter()
-    if not slamm_abstained:
-        sv = slamm.slamm_classify(data, malware_models, benign_model)
-    timings["slamm"] = time.perf_counter() - t0
+
+    def run_ents() -> tuple[float, bool, float]:
+        score, verdict = 0.0, False
+        t0 = time.perf_counter()
+        if not ents_abstained:
+            profile = ents.entropy_profile(data, ents_params, source_digest=digest)
+            row = profile.values[trained_forest.feature_cols]
+            score = forest_mod.score(trained_forest, row)
+            if trained_forest.cutoff is None:
+                raise DataError("forest is not calibrated")
+            verdict = score >= trained_forest.cutoff
+        return score, verdict, time.perf_counter() - t0
+
+    def run_slamm(zoo_map: Callable = map) -> tuple[slamm.SlammVerdict | None, float]:
+        sv = None
+        t0 = time.perf_counter()
+        if not slamm_abstained:
+            sv = slamm.slamm_classify(data, malware_models, benign_model, zoo_map)
+        return sv, time.perf_counter() - t0
+
+    if pool is None:
+        ents_score, ents_verdict, ents_s = run_ents()
+        sv, slamm_s = run_slamm()
+    else:
+        pending = pool.submit(run_ents)
+        sv, slamm_s = run_slamm(pool.map)
+        ents_score, ents_verdict, ents_s = pending.result()
 
     return Verdict(
         digest=digest,
@@ -174,7 +190,7 @@ def itect_classify(
         itect_verdict=ents_verdict or (sv.overall if sv else False),
         ents_abstained=ents_abstained,
         slamm_abstained=slamm_abstained,
-        timings=timings,
+        timings={"ents": ents_s, "slamm": slamm_s},
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -276,37 +276,40 @@ class NgramModel:
         for i in range(self.n):
             self._flush(i)
         totals, distinct, sumsq = [0] * self.n, [0] * self.n, 0.0
-        self._ctx_total = [
-            np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)
-        ]
-        self._ctx_distinct = [np.zeros_like(t) for t in self._ctx_total]
+        ctx_total = [np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)]
+        ctx_distinct = [np.zeros_like(t) for t in ctx_total]
         if records is None:
             records = self._records()
         for k, codes, counts in records:
             totals[k - 1] += int(counts.sum(dtype=np.int64))
             distinct[k - 1] += len(codes)
             if k == self.n:
+                # Not a BLAS dot, whose worker threads would spin on after
+                # it and slow a classify pool's first files. The squares
+                # are integers, so below 2^53 any order sums them exactly.
                 c = counts.astype(np.float64)
-                sumsq += float(c @ c)
+                sumsq += float(np.square(c, out=c).sum())
             if k >= 2:
                 ctx = codes >> 8
                 starts = np.flatnonzero(np.diff(ctx, prepend=-1))
                 runs = ctx[starts]
-                self._ctx_total[k - 2][runs] += np.add.reduceat(
-                    counts, starts, dtype=np.int64
-                )
-                self._ctx_distinct[k - 2][runs] += np.diff(starts, append=len(ctx))
+                ctx_total[k - 2][runs] += np.add.reduceat(counts, starts, dtype=np.int64)
+                ctx_distinct[k - 2][runs] += np.diff(starts, append=len(ctx))
         self._total_tokens = totals[0]
         self._distinct_unigrams = distinct[0]
         self._top = (distinct[-1], totals[-1], sumsq)
         # Per context of order k >= 2: the total and the back-off weight
         # d * distinct / total, both 1 where the context is unseen, so the
-        # discount step passes the lower order's q through unchanged.
+        # discount step passes the lower order's q through unchanged. Only
+        # these two are kept, not the tallies they come from. The total is
+        # an integer in the narrowest unsigned type that holds it, which a
+        # float64 divide widens exactly.
         d = self.smoothing.discount
-        self._tk_safe = [np.where(t > 0, t, 1.0) for t in self._ctx_total]
+        safe = [np.maximum(t, 1) for t in ctx_total]
+        self._tk_safe = [s.astype(np.min_scalar_type(int(s.max()))) for s in safe]
         self._lam = [
             np.where(t > 0, d * c / s, 1.0)
-            for t, c, s in zip(self._ctx_total, self._ctx_distinct, self._tk_safe)
+            for t, c, s in zip(ctx_total, ctx_distinct, self._tk_safe)
         ]
         self._lower_q = self._lower_order_table()
         self._finalized = True
@@ -331,14 +334,15 @@ class NgramModel:
 
         For n = 1 it is the uniform 1/256 the unigram backs off to. The
         order-2 table is built over the (256, 256) context x byte view of
-        its counts, with the unigram q broadcast over contexts; n <= 3,
-        so no higher order is ever needed here.
+        its counts, with the unigram q broadcast over contexts; the
+        context grid is full, as the step works in place. n <= 3, so no
+        higher order is ever needed here.
         """
         q = np.full(1, 1.0 / 256.0)
         if self.n >= 2:
             q = self._discount_step(1, self.counts[0], 0, q)
         if self.n == 3:
-            ctx = np.arange(256)[:, None]
+            ctx = np.arange(256)[:, None].repeat(256, axis=1)
             q = self._discount_step(2, self.counts[1].reshape(256, 256), ctx, q).ravel()
         return q
 
@@ -386,19 +390,23 @@ class NgramModel:
         count and hand the freed mass to the next-lower order; the base
         order backs off to uniform over the 256 byte values. Unseen
         contexts pass the lower order through, by the tables built at
-        finalize. Arrays broadcast.
+        finalize. ``ctx`` has the shape of the result, which the step
+        builds in place; ``counts`` and ``lower`` broadcast to it.
         """
         d = self.smoothing.discount
         # float64 whatever the counts' integer type: legacy NumPy promotion
         # would compute a uint8 or uint16 array minus d in float16/float32.
-        q = np.maximum(np.subtract(counts, d, dtype=np.float64), 0.0)
+        q = np.subtract(counts, d, dtype=np.float64)
+        np.maximum(q, 0.0, out=q)
         if k == 1:
             t1 = max(self._total_tokens, 1)
             q /= t1
             q += (d * self._distinct_unigrams / t1) * lower
             return q
         q /= self._tk_safe[k - 2][ctx]
-        q += self._lam[k - 2][ctx] * lower
+        backoff = self._lam[k - 2][ctx]
+        backoff *= lower
+        q += backoff
         return q
 
     def _cond_probs_from_codes(
@@ -414,7 +422,7 @@ class NgramModel:
         if top is None:
             top = self.counts[self.n - 1][codes]
         q = self._discount_step(self.n, top, codes >> 8, lower)
-        return np.maximum(q, self.smoothing.unseen_floor)
+        return np.maximum(q, self.smoothing.unseen_floor, out=q)
 
     def conditional_distribution(self, context: bytes) -> np.ndarray:
         """q(w | context) for all 256 next-byte values."""
@@ -567,7 +575,11 @@ def cross_entropy(
     """
     if top is None:
         top = _top_counts(model, p)
-    return float(-(p.probs * np.log2(model._cond_probs_from_codes(p.keys, top))).sum())
+    terms = model._cond_probs_from_codes(p.keys, top)
+    np.log2(terms, out=terms)
+    np.multiply(p.probs, terms, out=terms)
+    np.negative(terms, out=terms)
+    return float(terms.sum())
 
 
 def kld(p: NgramHistogram, q: NgramHistogram | ZooMasses, eps: float = 1e-10,
@@ -581,8 +593,11 @@ def kld(p: NgramHistogram, q: NgramHistogram | ZooMasses, eps: float = 1e-10,
         raise DataError("p has empty support")
     if qv is None:
         qv = q.lookup(p.keys)
-    qv = np.where(qv > 0, qv, eps)
-    return float((p.probs * np.log2(p.probs / qv)).sum())
+    terms = np.where(qv > 0, qv, eps)
+    np.divide(p.probs, terms, out=terms)
+    np.log2(terms, out=terms)
+    np.multiply(p.probs, terms, out=terms)
+    return float(terms.sum())
 
 
 def mse(model_hist: NgramHistogram | ZooMasses, p_hist: NgramHistogram,
@@ -599,8 +614,11 @@ def mse(model_hist: NgramHistogram | ZooMasses, p_hist: NgramHistogram,
         qv = model_hist.lookup(p_hist.keys)
     inside = qv > 0
     pv = p_hist.probs[inside]
-    cross = float((pv * pv - 2.0 * pv * qv[inside]).sum())
-    return (model_hist.sum_of_squares + cross) / m
+    twice_pq = 2.0 * pv
+    twice_pq *= qv[inside]
+    np.multiply(pv, pv, out=pv)
+    pv -= twice_pq  # p^2 - 2pq at each shared event
+    return (model_hist.sum_of_squares + float(pv.sum())) / m
 
 
 @dataclass(frozen=True)
@@ -617,7 +635,10 @@ class SlammVerdict:
 
 
 def slamm_classify(
-    data: bytes, malware_models: Sequence[NgramModel], benign: NgramModel
+    data: bytes,
+    malware_models: Sequence[NgramModel],
+    benign: NgramModel,
+    map: Callable = map,
 ) -> SlammVerdict:
     """Unanimous AND of the three classifiers, each OR-ed across zoos.
 
@@ -625,6 +646,9 @@ def slamm_classify(
     gather of the zoo's top-order counts at its keys: cross-entropy
     smooths the counts, KLD and MSE divide them by the zoo's total.
     Ties resolve to benign: every comparison is a strict "<".
+
+    ``map`` scores the zoos, benign first, and returns their scores in
+    order; a pool's map scores them concurrently, with the same result.
     """
     if not malware_models:
         raise DataError("need at least one malware model")
@@ -632,19 +656,16 @@ def slamm_classify(
 
     def scores(model: NgramModel) -> dict[str, float]:
         top = _top_counts(model, p_hist)
+        ce = cross_entropy(model, p_hist, top)  # before qv: fewer arrays live at once
         masses = model.histogram()
         qv = top / masses.total
-        return {
-            "cross_entropy": cross_entropy(model, p_hist, top),
-            "kld": kld(p_hist, masses, qv=qv),
-            "mse": mse(masses, p_hist, qv=qv),
-        }
+        return {"cross_entropy": ce, "kld": kld(p_hist, masses, qv=qv),
+                "mse": mse(masses, p_hist, qv=qv)}
 
-    base = scores(benign)
+    base, *per_zoo = map(scores, [benign, *malware_models])
     diagnostics = {"benign": base}
     cx = cd = cmse = False
-    for model in malware_models:
-        zoo = scores(model)
+    for model, zoo in zip(malware_models, per_zoo):
         diagnostics[model.zoo_id or f"zoo{len(diagnostics)}"] = zoo
         cx = cx or zoo["cross_entropy"] < base["cross_entropy"]
         cd = cd or zoo["kld"] < base["kld"]

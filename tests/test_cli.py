@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,8 +213,18 @@ class TestConfigAndThreads:
         monkeypatch.setenv("ITECT_THREADS", "3")
         assert cli._threads(None) == 3
         monkeypatch.setenv("ITECT_THREADS", "auto")
-        assert cli._threads(None) == (os.cpu_count() or 1)
+        assert cli._threads(None) == len(os.sched_getaffinity(0))
         assert cli._threads("2") == 2
+
+    def test_threads_auto_counts_usable_cores(self, monkeypatch):
+        # A process pinned to two of 64 cores gets two threads.
+        monkeypatch.setenv("ITECT_THREADS", "auto")
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        assert cli._threads("auto") == cli._threads(None) == 2
+        # Where the platform has no affinity call, the CPU count is used.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._threads("auto") == 64
 
 
 @pytest.fixture(scope="module")
@@ -352,12 +364,14 @@ class TestPipelineCommands:
         )
         assert rc == 2
 
-    def _classify(self, trained, out, *files, forest=None, params=None, benign=None):
+    def _classify(self, trained, out, *files, forest=None, params=None, benign=None,
+                  threads=None):
         mal = ",".join(
             str(trained["models"][c])
             for c in ("polymorphic", "metamorphic", "packed")
         )
         return run(
+            *(("--threads", threads) if threads else ()),
             "classify", "--ents", str(forest or trained["forest"]),
             "--ents-params", str(params or trained["params"]),
             "--slamm", mal, "--benign", str(benign or trained["models"]["benign"]),
@@ -375,6 +389,85 @@ class TestPipelineCommands:
         assert rc == 0
         assert len(verdicts.read_text().splitlines()) == 1
         assert f"diagnostic: {bad}" in capsys.readouterr().err
+
+    def test_classify_verdicts_do_not_depend_on_threads(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        # An unreadable file and a malformed hexdump sit between good files.
+        entries = CorpusManifest.load(workspace["manifest"]).by_split("test")
+        good = [e.path for e in entries]
+        missing = tmp_path / "missing.bin"
+        bad = tmp_path / "bad.bytes"
+        bad.write_bytes(b"00000000 4D 5A\n\xff\xfe 90\n")
+        files = good[:3] + [str(missing)] + good[3:6] + [str(bad)] + good[6:]
+        outputs = {}
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"verdicts-{threads}.jsonl"
+            assert self._classify(trained, out, *files, threads=threads) == 0
+            err = capsys.readouterr().err
+            lines = [json.loads(line) for line in out.read_text().splitlines()]
+            for v in lines:
+                assert set(v.pop("timings")) == {"ents", "slamm"}
+            outputs[threads] = (lines, err)
+        lines, err = outputs["1"]
+        assert outputs["2"] == outputs["3"] == outputs["1"]
+        assert [v["digest"] for v in lines] == [e.digest for e in entries]
+        diagnostics = [l for l in err.splitlines() if l.startswith("diagnostic:")]
+        assert len(diagnostics) == 2
+        assert diagnostics[0].startswith(f"diagnostic: {missing}: ")
+        assert diagnostics[1].startswith(f"diagnostic: {bad}: ")
+
+    def test_data_error_in_a_pooled_task_exits_2(self, workspace, trained, tmp_path):
+        # EnTS runs on a helper thread, and an uncalibrated forest raises
+        # there; a hang would fail the timeout instead of the assertions.
+        doc = json.loads(trained["forest"].read_text())
+        doc["cutoff"] = None
+        forest = tmp_path / "uncalibrated.json"
+        forest.write_text(json.dumps(doc))
+        good = [e.path for e in CorpusManifest.load(workspace["manifest"]).by_split("test")]
+        mal = ",".join(
+            str(trained["models"][c]) for c in ("polymorphic", "metamorphic", "packed")
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "itect.cli", "--threads", "3", "classify",
+             "--ents", str(forest), "--ents-params", str(trained["params"]),
+             "--slamm", mal, "--benign", str(trained["models"]["benign"]),
+             "--out", str(tmp_path / "v.jsonl"), *good],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "itect: data error: forest is not calibrated" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_slamm_classify_output_does_not_depend_on_threads(
+        self, workspace, trained, capsys
+    ):
+        files = [e.path for e in CorpusManifest.load(workspace["manifest"]).by_split("test")]
+        mal = ",".join(
+            str(trained["models"][c]) for c in ("polymorphic", "metamorphic", "packed")
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            rc = run("--threads", threads, "slamm-classify", "--models", mal,
+                     "--benign", str(trained["models"]["benign"]), *files)
+            assert rc == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert [json.loads(l)["path"] for l in outputs[0].out.splitlines()] == files
+
+    def test_train_prints_risk_bound(self, trained, tmp_path, capsys):
+        out = tmp_path / "forest.json"
+        rc = run("train", "--features", str(trained["features"]), "--trees", "10",
+                 "--seed", "0", "--out", str(out))
+        assert rc == 0
+        calibration = json.loads(out.read_text())["calibration"]
+        assert calibration["risk_bound"] == 1 / (calibration["benign_rows"] + 1)
+        assert (
+            f"risk_bound={calibration['risk_bound']:.4f}, "
+            f"min_oob_voters={calibration['min_oob_voters']}"
+        ) in capsys.readouterr().out
 
     def test_slamm_classify_skips_bad_file(
         self, workspace, trained, tmp_path, capsys

@@ -138,6 +138,24 @@ class TestCalibration:
         assert f.cutoff == top + f.vote_step
         assert all(s < f.cutoff for s in oob.values())
 
+    def test_risk_bound_and_fewest_voters(self):
+        # Rebuild each tree's bootstrap and count, for every benign row some
+        # tree left out, the trees that scored it.
+        rows, labels = two_blob_data(n_per_class=30, gap=3.0, seed=14)
+        cfg = forest.ForestConfig(trees=12, seed=2)
+        f = forest.calibrate_zero_fp(rows, labels, cfg)
+        n = len(labels)
+        drawn = [
+            set(np.random.default_rng([cfg.seed, t]).integers(0, n, n).tolist())
+            for t in range(cfg.trees)
+        ]
+        voters = [sum(i not in d for d in drawn) for i in np.flatnonzero(labels == 0)]
+        scored = [v for v in voters if v]
+        assert f.calibration["benign_rows"] == len(scored)
+        assert f.calibration["min_oob_voters"] == min(scored)
+        assert 1 <= min(scored) < cfg.trees
+        assert f.calibration["risk_bound"] == 1 / (len(scored) + 1)
+
     def test_trains_one_forest(self, monkeypatch):
         calls = []
         train = forest.train_forest

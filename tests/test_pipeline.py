@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from itect import ents, forest, pipeline, slamm
 from itect.errors import DataError
+from itect.pool import SharedPool
 
 
 def _verdict(digest, flag, score=0.0):
@@ -239,3 +240,34 @@ class TestItectClassify:
         )
         assert v.ents_abstained and not v.slamm_abstained
         assert v.slamm_verdict is not None
+
+    def test_pooled_equals_serial(self, tiny_detectors):
+        d = tiny_detectors
+        rng = np.random.default_rng(8)
+        suspects = [
+            rng.integers(0, 256, 4096).astype(np.uint8).tobytes(),
+            (b"benign structured content with low entropy " * 100)[:4096],
+            bytes(range(64)),
+            b"x",
+        ]
+        args = (d["forest"], d["params"], d["malware"], d["benign"])
+        with SharedPool(2) as pool:
+            for i, data in enumerate(suspects):
+                serial = pipeline.itect_classify(data, str(i), *args)
+                pooled = pipeline.itect_classify(data, str(i), *args, pool=pool)
+                assert set(pooled.timings) == {"ents", "slamm"}
+                serial.timings = pooled.timings = {}
+                assert pooled == serial
+
+    def test_pooled_uncalibrated_forest_rejected(self, tiny_detectors):
+        # The check runs on a helper thread; its error reaches the caller.
+        d = tiny_detectors
+        uncalibrated = forest.TrainedForest(
+            trees=d["forest"].trees, config=d["forest"].config,
+            feature_cols=d["forest"].feature_cols,
+        )
+        data = np.random.default_rng(9).integers(0, 256, 4096).astype(np.uint8).tobytes()
+        with SharedPool(1) as pool, pytest.raises(DataError, match="not calibrated"):
+            pipeline.itect_classify(
+                data, "u", uncalibrated, d["params"], d["malware"], d["benign"], pool=pool
+            )

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from itect import slamm, synth
 from itect.errors import DataError
+from itect.pool import SharedPool
 
 
 def uniform_unigram_model():
@@ -174,9 +175,14 @@ class TestTrainingOracle:
             np.testing.assert_array_equal(trained.counts[k - 1], dense)
             assert trained.counts[k - 1].dtype == oracle.counts[k - 1].dtype
         oracle.finalize()
-        for attr in ("_ctx_total", "_ctx_distinct"):
-            for x, y in zip(getattr(trained, attr), getattr(oracle, attr), strict=True):
-                np.testing.assert_array_equal(x, y)
+        assert len(trained._tk_safe) == len(trained._lam) == n - 1
+        for k in range(2, n + 1):
+            tk_safe, lam = _dense_context_tables(oracle, k)
+            for model in (trained, oracle):
+                np.testing.assert_array_equal(model._tk_safe[k - 2], tk_safe)
+                np.testing.assert_array_equal(model._lam[k - 2], lam)
+                # The totals are held in the narrowest type that fits them.
+                assert model._tk_safe[k - 2].dtype == np.min_scalar_type(int(tk_safe.max()))
         top = oracle.counts[n - 1]
         assert trained._top == oracle._top
         assert trained._top[:2] == (np.count_nonzero(top), top.sum())
@@ -543,6 +549,16 @@ def _dense_context_stats(model, k):
     return table.sum(axis=1, dtype=np.int64), np.count_nonzero(table, axis=1)
 
 
+def _dense_context_tables(model, k):
+    """The per-context total and back-off weight finalize keeps for order
+    k (``_tk_safe`` and ``_lam``), from a full scan of the dense counts:
+    total and d * distinct / total, both 1 where the context is unseen."""
+    total, distinct = _dense_context_stats(model, k)
+    seen = total > 0
+    tk_safe = np.where(seen, total, 1.0)
+    return tk_safe, np.where(seen, model.smoothing.discount * distinct / tk_safe, 1.0)
+
+
 class TestLoadedTables:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("block", [5, 1 << 18])
@@ -582,7 +598,7 @@ class TestLoadedTables:
             v_trained = slamm.slamm_classify(data, [trained], trained)
             v_loaded = slamm.slamm_classify(data, [loaded], loaded)
             assert v_loaded == v_trained
-        for attr in ("_ctx_total", "_ctx_distinct", "_tk_safe", "_lam"):
+        for attr in ("_tk_safe", "_lam"):
             a, b = getattr(trained, attr), getattr(loaded, attr)
             assert len(a) == len(b) == n - 1
             for x, y in zip(a, b):
@@ -590,9 +606,10 @@ class TestLoadedTables:
         np.testing.assert_array_equal(trained._lower_q, loaded._lower_q)
         assert trained.total_tokens == loaded.total_tokens
         for k in range(2, n + 1):
-            total, distinct = _dense_context_stats(trained, k)
-            np.testing.assert_array_equal(loaded._ctx_total[k - 2], total)
-            np.testing.assert_array_equal(loaded._ctx_distinct[k - 2], distinct)
+            total, _ = _dense_context_stats(trained, k)
+            tk_safe, lam = _dense_context_tables(trained, k)
+            np.testing.assert_array_equal(loaded._tk_safe[k - 2], tk_safe)
+            np.testing.assert_array_equal(loaded._lam[k - 2], lam)
             seen = total > 0
             np.testing.assert_array_equal(loaded._tk_safe[k - 2][seen], total[seen])
             assert np.all(loaded._tk_safe[k - 2][~seen] == 1)
@@ -647,6 +664,20 @@ class TestSlammClassifyDiagnostics:
                 assert got["mse"] == pytest.approx(
                     slamm.mse(masses, p, qv), rel=1e-15, abs=0
                 )
+
+    @pytest.mark.parametrize("helpers", [1, 3])
+    def test_pooled_equals_serial(self, synth_files, helpers):
+        # Bit for bit: every zoo is scored by the same code on any thread.
+        docs, suspects = synth_files
+        models = {zoo: slamm.NgramModel.train(d, n=3, zoo_id=zoo) for zoo, d in docs.items()}
+        benign = models.pop("benign")
+        malware = list(models.values())
+        with SharedPool(helpers) as pool:
+            for data in suspects:
+                serial = slamm.slamm_classify(data, malware, benign)
+                pooled = slamm.slamm_classify(data, malware, benign, pool.map)
+                assert pooled == serial
+                assert list(pooled.diagnostics) == list(serial.diagnostics)
 
 
 def _pooled_counts(docs, n):
