@@ -41,6 +41,8 @@ _RECORD = np.dtype([("g", ">u8"), ("c", "<u8")])
 _BLOCK = 1 << 18
 # Pending codes of one order that trigger a flush into its dense counts.
 _FLUSH_CODES = 1 << 23
+# Suspect codes per block of cross-entropy terms.
+_CE_BLOCK = 1 << 14
 
 
 def _bincounted(k: int) -> bool:
@@ -572,13 +574,20 @@ def cross_entropy(
     the suspect's positions, evaluated once per distinct n-gram.
     ``top`` holds the model's top-order counts at ``p.keys`` if the
     caller has already gathered them.
+
+    The terms are computed ``_CE_BLOCK`` codes at a time, so the
+    temporaries of the smoothing stay small; each term depends on its
+    own code only, and one sum over all of them gives the result.
     """
     if top is None:
         top = _top_counts(model, p)
-    terms = model._cond_probs_from_codes(p.keys, top)
-    np.log2(terms, out=terms)
-    np.multiply(p.probs, terms, out=terms)
-    np.negative(terms, out=terms)
+    terms = np.empty(len(p.keys))
+    for start in range(0, len(terms), _CE_BLOCK):
+        part = slice(start, start + _CE_BLOCK)
+        block = terms[part]
+        np.log2(model._cond_probs_from_codes(p.keys[part], top[part]), out=block)
+        np.multiply(p.probs[part], block, out=block)
+        np.negative(block, out=block)
     return float(terms.sum())
 
 
@@ -614,8 +623,9 @@ def mse(model_hist: NgramHistogram | ZooMasses, p_hist: NgramHistogram,
         qv = model_hist.lookup(p_hist.keys)
     inside = qv > 0
     pv = p_hist.probs[inside]
-    twice_pq = 2.0 * pv
-    twice_pq *= qv[inside]
+    twice_pq = qv[inside]
+    twice_pq *= pv
+    twice_pq *= 2.0  # exact, so equal to (2p)q
     np.multiply(pv, pv, out=pv)
     pv -= twice_pq  # p^2 - 2pq at each shared event
     return (model_hist.sum_of_squares + float(pv.sum())) / m

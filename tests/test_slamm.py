@@ -312,6 +312,20 @@ class TestSmoothing:
             expect = -sequence_logprob(model, data) / (len(data) - n + 1)
             assert ce == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_cross_entropy_blocks_equal_one_pass(self, monkeypatch, block):
+        # Bit for bit: the terms of every block are those of one pass over
+        # all codes, and they are summed once.
+        rng = np.random.default_rng(17)
+        docs = [rng.integers(0, 48, 3000).astype(np.uint8).tobytes() for _ in range(4)]
+        model = slamm.NgramModel.train(docs, n=3)
+        p = slamm.NgramHistogram.from_data(
+            rng.integers(0, 64, 5000).astype(np.uint8).tobytes(), 3
+        )
+        one_pass = float(-(p.probs * np.log2(model._cond_probs_from_codes(p.keys))).sum())
+        monkeypatch.setattr(slamm, "_CE_BLOCK", block)
+        assert slamm.cross_entropy(model, p) == one_pass
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lower_order_table_is_exact(self, n):
         # Bytes 0..39 only, so most contexts of a random code are unseen;
