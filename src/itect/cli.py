@@ -99,15 +99,26 @@ def _shared_pool(args):
         yield pool
 
 
+def _relative(value):
+    """An absolute path relative to the working directory; any other
+    value as it is. So artifacts do not depend on where a workspace sits."""
+    if isinstance(value, str) and os.path.isabs(value):
+        return os.path.relpath(value)
+    return value
+
+
 def _provenance(args: argparse.Namespace, inputs: list[str | Path]) -> dict:
     digests = {}
     for p in inputs:
+        key = _relative(str(p))
         try:
-            digests[str(p)] = corpus.file_digest(p)
+            digests[key] = corpus.file_digest(p)
         except OSError:
-            digests[str(p)] = None
+            digests[key] = None
     config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
+        k: _relative(v)
+        for k, v in sorted(vars(args).items())
+        if k not in ("func",) and v is not None
     }
     return {"tool_version": __version__, "config": config, "input_digests": digests}
 

@@ -18,6 +18,15 @@ total and read its support size and sum of squares (:class:`ZooMasses`).
 Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
 not fit in desk memory; the reference configuration is n = 3).
+
+A model file (format version 2) is the header (magic ``SLMM``, then
+``<HBH d d``: version, order, zoo id length, discount, unseen floor),
+the UTF-8 zoo id, and per order, ascending: a ``<Q`` record count, a
+``<B`` count width W (1, 2, 4 or 8) and the order's non-zero counts as
+packed records of a little-endian uint32 gram code and a little-endian
+unsigned W-byte count, codes strictly increasing. W is the narrowest
+that holds the order's largest count, so a trigram record whose count
+fits in 16 bits takes 5 or 6 bytes.
 """
 
 from __future__ import annotations
@@ -34,10 +43,8 @@ from .errors import DataError
 MAX_DENSE_ORDER = 3
 
 _MAGIC = b"SLMM"
-_FORMAT_VERSION = 1
-# One record per non-zero count: big-endian gram code, count.
-_RECORD = np.dtype([("g", ">u8"), ("c", "<u8")])
-# Records per block when a model's counts are read or tallied.
+_FORMAT_VERSION = 2
+# Records per block when a model's counts are read, written or tallied.
 _BLOCK = 1 << 18
 # Pending codes of one order that trigger a flush into its dense counts.
 _FLUSH_CODES = 1 << 23
@@ -67,63 +74,75 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
-def _read_blocks(fh, k: int, count: int, limit: int):
-    """Read ``count`` order-k records in blocks, check them and yield
-    ``(codes, counts)`` per block.
+def _record_dtype(width: int) -> np.dtype:
+    """One packed record: a little-endian uint32 gram code, then a
+    little-endian unsigned count of ``width`` bytes."""
+    return np.dtype([("g", "<u4"), ("c", f"<u{width}")])
 
-    Codes must be in range and strictly increasing, and counts non-zero
-    and at most ``limit``, as :meth:`NgramModel.save` writes them;
+
+def _read_blocks(fh, k: int, count: int, width: int):
+    """Read ``count`` order-k records of count width ``width`` in blocks,
+    check them and yield ``(codes, counts)`` per block, as views of the
+    block's bytes.
+
+    Codes must be in range and strictly increasing, and counts non-zero,
+    below 2^63 (training sums them in int64) and in the narrowest width
+    that holds the largest, as :meth:`NgramModel.save` writes them;
     anything else raises DataError. Strictly increasing codes lie
-    between a block's first and last, so only those two are
-    range-checked unless the block is out of order.
+    between a block's first and last, so only the last is range-checked
+    unless the block is out of order. The width is checked after the
+    last block, once the largest count is known.
     """
-    last = -1
+    record = _record_dtype(width)
+    last, top = -1, 0
     for start in range(0, count, _BLOCK):
+        size = min(_BLOCK, count - start)
         rec = np.frombuffer(
-            _read_exact(fh, 16 * min(_BLOCK, count - start), f"order-{k} records"),
-            dtype=_RECORD,
+            _read_exact(fh, record.itemsize * size, f"order-{k} records"), dtype=record
         )
-        codes = rec["g"].astype(np.int64)  # a code of 2^63 or more wraps below 0
-        increasing = codes[0] > last and bool(np.all(codes[1:] > codes[:-1]))
-        lo, hi = (codes[0], codes[-1]) if increasing else (codes.min(), codes.max())
-        if lo < 0 or hi >= 256**k:
+        codes, counts = rec["g"], rec["c"]
+        increasing = int(codes[0]) > last and bool(np.all(codes[1:] > codes[:-1]))
+        if int(codes[-1] if increasing else codes.max()) >= 256**k:
             raise DataError(f"order-{k} gram code out of range")
         if not increasing:
             raise DataError(f"order-{k} gram codes not strictly increasing")
-        counts = rec["c"]
-        if int(counts.max()) > limit:
+        top = max(top, int(counts.max()))
+        if top > np.iinfo(np.int64).max:
             raise DataError(f"order-{k} count overflows its counter")
         if counts.min() == 0:
             raise DataError(f"order-{k} record has a zero count")
         last = int(codes[-1])
         yield codes, counts
+    if np.min_scalar_type(top).itemsize != width:
+        raise DataError(
+            f"order-{k} count width {width} is wider than its largest count needs"
+        )
 
 
 def _read_records(fh, n: int, tables: list[np.ndarray]):
-    """Read each order's records, append its dense table to ``tables``,
-    scatter the records into it and yield ``(k, codes, counts)`` per
-    block.
+    """Read each order's record count, width and records, append its
+    dense table to ``tables``, scatter the records into it and yield
+    ``(k, codes, counts)`` per block.
 
-    An order counted by sorting (256^3 cells) gets the narrowest
-    unsigned type of its largest count, as training gives it: a first
-    pass over its records finds that count, and a second scatters them.
-    Both passes check the records, as the file may change between them.
+    Every record is read once, in blocks of at most ``_BLOCK``. An
+    order counted by bincount gets an int64 table, the type training
+    sums in; the order counted by sorting (256^3 cells) gets the
+    unsigned type of its width, which is the narrowest of its largest
+    count, as training gives it. The blocks yield the codes as uint32
+    and the counts in their width, which finalize tallies as they are.
     """
     for k in range(1, n + 1):
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, f"order-{k} record count"))
+        count, width = struct.unpack(
+            "<QB", _read_exact(fh, 9, f"order-{k} record count and width")
+        )
         if count > 256**k:
             raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
-        dtype = np.dtype(np.int64)  # the type training sums counts in
-        if not _bincounted(k):
-            start = fh.tell()
-            blocks = _read_blocks(fh, k, count, np.iinfo(dtype).max)
-            top = max((int(c.max()) for _, c in blocks), default=0)
-            fh.seek(start)
-            dtype = np.min_scalar_type(top)
+        if width not in (1, 2, 4, 8):
+            raise DataError(f"order-{k} count width {width} is not 1, 2, 4 or 8")
+        dtype = np.int64 if _bincounted(k) else np.dtype(f"u{width}")
         table = np.zeros(256**k, dtype=dtype)
         tables.append(table)
-        for codes, counts in _read_blocks(fh, k, count, np.iinfo(dtype).max):
-            counts = counts.astype(dtype)
+        for codes, counts in _read_blocks(fh, k, count, width):
             table[codes] = counts
             yield k, codes, counts
 
@@ -446,8 +465,12 @@ class NgramModel:
     # -- serialization -----------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Versioned binary container, records sorted by gram code,
-        written in blocks of ``_BLOCK`` records."""
+        """Write the model in format version 2 (see the module docstring).
+
+        Each order is written in the narrowest unsigned width of its
+        largest count, which for the trigram table training widens is
+        the table's own type, in blocks of ``_BLOCK`` records.
+        """
         self._require_finalized()
         zoo = self.zoo_id.encode("utf-8")
         with open(path, "wb") as fh:
@@ -465,21 +488,24 @@ class NgramModel:
             fh.write(zoo)
             for k, table in enumerate(self.counts, 1):
                 nz = self._nonzero_codes(k)
-                fh.write(struct.pack("<Q", len(nz)))
+                width = np.min_scalar_type(int(table.max())).itemsize
+                fh.write(struct.pack("<QB", len(nz), width))
+                record = _record_dtype(width)
                 for start in range(0, len(nz), _BLOCK):
                     codes = nz[start : start + _BLOCK]
-                    rec = np.empty(len(codes), dtype=_RECORD)
+                    rec = np.empty(len(codes), dtype=record)
                     rec["g"] = codes
                     rec["c"] = table[codes]
                     fh.write(rec)
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
-        """Read a model file; a truncated or corrupt one raises DataError.
+        """Read a model file; a truncated or corrupt one, or one of another
+        format version, raises DataError.
 
-        Each block of records is tallied by finalize as it is read, so
-        loading makes no pass over the 256^n cells, nor allocates a
-        table for them wider than their largest count needs.
+        Each block of records is read once and tallied by finalize as it
+        is read, so loading makes no pass over the 256^n cells, nor
+        allocates a table for them wider than their largest count needs.
         """
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -489,7 +515,10 @@ class NgramModel:
                 "<HBH d d", _read_exact(fh, 21, "header")
             )
             if version != _FORMAT_VERSION:
-                raise DataError(f"unsupported model version {version}")
+                raise DataError(
+                    f"unsupported model version {version}; this build reads "
+                    f"version {_FORMAT_VERSION}, so retrain the zoo with slamm-train"
+                )
             if not 1 <= n <= MAX_DENSE_ORDER:
                 raise DataError(f"model order {n} outside 1..{MAX_DENSE_ORDER}")
             try:

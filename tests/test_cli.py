@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -531,6 +532,29 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "itect: data error: histogram order 3 does not match model order 2" in err
 
+    def test_classify_version_1_model_is_data_error(self, workspace, trained, tmp_path):
+        # A zoo file of format version 1 is refused, with a message to
+        # retrain it, by a fresh process and without a traceback.
+        raw = trained["models"]["benign"].read_bytes()
+        old = tmp_path / "benign-v1.slmm"
+        old.write_bytes(raw[:4] + (1).to_bytes(2, "little") + raw[6:])
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        mal = ",".join(
+            str(trained["models"][c]) for c in ("polymorphic", "metamorphic", "packed")
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "itect.cli", "classify",
+             "--ents", str(trained["forest"]), "--ents-params", str(trained["params"]),
+             "--slamm", mal, "--benign", str(old), "--out", str(tmp_path / "v.jsonl"), good],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "itect: data error: unsupported model version 1;" in proc.stderr
+        assert "retrain the zoo with slamm-train" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("n", ["0", "4"])
     def test_slamm_train_order_out_of_range_is_usage_error(
         self, workspace, tmp_path, capsys, n
@@ -666,6 +690,42 @@ def test_flag_value_the_library_rejects_is_usage_error(
              "tmp": tmp_path}
     assert run(*[a.format(**paths) for a in argv]) == 1
     assert "itect: usage error" in capsys.readouterr().err
+
+
+class TestProvenance:
+    def test_artifacts_do_not_depend_on_the_workspace_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # One workspace copied to a second directory; each copy is run
+        # from its own root with absolute paths, and the artifacts match.
+        first = tmp_path / "a" / "ws"
+        first.mkdir(parents=True)
+        monkeypatch.chdir(first)
+        parts = []
+        for profile in ("benign_like", "packed_like"):
+            assert run("synth", "--profile", profile, "--count", "8",
+                       "--size-min", "4096", "--size-max", "4096", "--seed", "2",
+                       "--out", profile, "--manifest-out", f"{profile}.jsonl") == 0
+            parts.append((first / f"{profile}.jsonl").read_text())
+        (first / "corpus.jsonl").write_text("".join(parts))
+        second = tmp_path / "elsewhere" / "copy" / "ws"
+        shutil.copytree(first, second)
+        names = ("ents.json", "train.csv.meta.json", "forest.json.meta.json")
+        artifacts = []
+        for ws in (first, second):
+            monkeypatch.chdir(ws)
+            assert run("ents", "--manifest", str(ws / "corpus.jsonl"), "--alpha", "4",
+                       "--out", str(ws / "train.csv"),
+                       "--params-out", str(ws / "ents.json")) == 0
+            assert run("train", "--features", str(ws / "train.csv"), "--trees", "10",
+                       "--seed", "0", "--out", str(ws / "forest.json")) == 0
+            artifacts.append([(ws / name).read_bytes() for name in names])
+        assert artifacts[0] == artifacts[1]
+        params = json.loads(artifacts[0][0])["_provenance"]
+        assert params["config"]["params_out"] == "ents.json"
+        assert list(params["input_digests"]) == ["corpus.jsonl"]
+        for raw in artifacts[0]:
+            assert str(tmp_path).encode() not in raw
 
 
 class TestIngest:

@@ -1,4 +1,3 @@
-import io
 import math
 import struct
 import tracemalloc
@@ -354,25 +353,46 @@ class TestSmoothing:
 
 
 # Header of a bigram model with default smoothing and a 3-byte zoo id.
-_HEADER = b"SLMM" + struct.pack("<HBH d d", 1, 2, 3, 0.5, 1e-10)
+_HEADER = b"SLMM" + struct.pack("<HBH d d", 2, 2, 3, 0.5, 1e-10)
 
 
 def _order_offset(raw, order):
     """Offset of the record-count field of ``order`` in a model file."""
     pos = len(_HEADER) + 3
     for _ in range(order - 1):
-        (count,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8 + 16 * count
+        count, width = struct.unpack_from("<QB", raw, pos)
+        pos += 9 + (4 + width) * count
     return pos
 
 
-def _patch_record(raw, order, gram=None, count=None):
-    """Overwrite the gram code or the count of the first record of ``order``."""
-    pos = _order_offset(raw, order) + 8
-    field = struct.pack(">Q", gram) if count is None else struct.pack("<Q", count)
-    if count is not None:
-        pos += 8
-    return raw[:pos] + field + raw[pos + 8 :]
+def _records(raw, order):
+    """The ``(code, count)`` records of ``order`` and its count width."""
+    pos = _order_offset(raw, order)
+    count, width = struct.unpack_from("<QB", raw, pos)
+    recs = []
+    for at in range(pos + 9, pos + 9 + (4 + width) * count, 4 + width):
+        (code,) = struct.unpack_from("<I", raw, at)
+        recs.append((code, int.from_bytes(raw[at + 4 : at + 4 + width], "little")))
+    return recs, width
+
+
+def _rewrite(raw, order, recs, width):
+    """Replace the records of ``order``, written at ``width``, and its
+    record count and width to match."""
+    pos = _order_offset(raw, order)
+    old, old_width = _records(raw, order)
+    end = pos + 9 + (4 + old_width) * len(old)
+    body = b"".join(struct.pack("<I", g) + c.to_bytes(width, "little") for g, c in recs)
+    return raw[:pos] + struct.pack("<QB", len(recs), width) + body + raw[end:]
+
+
+def _patch_record(raw, order, gram=None, count=None, width=None):
+    """Overwrite the gram code or the count of the first record of
+    ``order``, rewriting the order at ``width`` if given."""
+    recs, old_width = _records(raw, order)
+    g, c = recs[0]
+    recs[0] = (g if gram is None else gram, c if count is None else count)
+    return _rewrite(raw, order, recs, width or old_width)
 
 
 def _patch_count(raw, order, count):
@@ -380,18 +400,23 @@ def _patch_count(raw, order, count):
     return raw[:pos] + struct.pack("<Q", count) + raw[pos + 8 :]
 
 
+def _patch_width(raw, order, width):
+    """Overwrite the count width of ``order``, leaving its records as they are."""
+    pos = _order_offset(raw, order) + 8
+    return raw[:pos] + bytes([width]) + raw[pos + 1 :]
+
+
 def _swap_records(raw, order):
     """Swap the first two records of ``order``."""
-    pos = _order_offset(raw, order) + 8
-    return raw[:pos] + raw[pos + 16 : pos + 32] + raw[pos : pos + 16] + raw[pos + 32 :]
+    recs, width = _records(raw, order)
+    recs[:2] = recs[1::-1]
+    return _rewrite(raw, order, recs, width)
 
 
 def _repeat_record(raw, order):
     """Write the first record of ``order`` twice, with the record count to match."""
-    pos = _order_offset(raw, order)
-    (count,) = struct.unpack_from("<Q", raw, pos)
-    first = raw[pos + 8 : pos + 24]
-    return raw[:pos] + struct.pack("<Q", count + 1) + first + raw[pos + 8 :]
+    recs, width = _records(raw, order)
+    return _rewrite(raw, order, recs[:1] + recs, width)
 
 
 class TestSerialization:
@@ -428,17 +453,22 @@ class TestSerialization:
                 lambda b: b[: len(_HEADER) + 3 + 4], "record count", id="short-count"
             ),
             pytest.param(
-                lambda b: b[:4] + struct.pack("<HB", 1, 0) + b[7:],
+                lambda b: b[:4] + struct.pack("<H", 1) + b[6:],
+                "unsupported model version 1; .* retrain",
+                id="version-1",
+            ),
+            pytest.param(
+                lambda b: b[:4] + struct.pack("<HB", 2, 0) + b[7:],
                 "order 0",
                 id="order-0",
             ),
             pytest.param(
-                lambda b: b[:4] + struct.pack("<HB", 1, 4) + b[7:],
+                lambda b: b[:4] + struct.pack("<HB", 2, 4) + b[7:],
                 "order 4",
                 id="order-4",
             ),
             pytest.param(
-                lambda b: b[:4] + struct.pack("<HBHd", 1, 2, 3, 2.0) + b[17:],
+                lambda b: b[:4] + struct.pack("<HBHd", 2, 2, 3, 2.0) + b[17:],
                 "smoothing",
                 id="discount-out-of-range",
             ),
@@ -453,7 +483,7 @@ class TestSerialization:
                 id="gram-code-too-large",
             ),
             pytest.param(
-                lambda b: _patch_record(b, order=1, count=1 << 63),
+                lambda b: _patch_record(b, order=1, count=1 << 63, width=8),
                 "overflows",
                 id="count-overflows-counter",
             ),
@@ -489,33 +519,62 @@ class TestSerialization:
             slamm.NgramModel.load(path)
 
     def test_count_past_int32_loads_as_uint32(self, tmp_path):
-        # Training sums counts in int64, so a saved count may pass 2^31 - 1.
+        # Training sums counts in int64, so a saved count may pass 2^31 - 1
+        # and be written at width 4.
         path = tmp_path / "m.slmm"
         slamm.NgramModel.train([b"abracadabra"], n=3, zoo_id="zoo").save(path)
-        path.write_bytes(_patch_record(path.read_bytes(), order=3, count=1 << 31))
+        raw = _patch_record(path.read_bytes(), order=3, count=1 << 31, width=4)
+        path.write_bytes(raw)
         model = slamm.NgramModel.load(path)
         assert model.counts[2].dtype == np.uint32
         assert model.counts[2].max() == 1 << 31
 
-    def test_count_grown_between_passes_is_data_error(self, tmp_path):
-        # The trigram table's type comes from a first pass over the
-        # records; a count that outgrows it by the second pass must be
-        # refused, not wrapped into the uint8 table.
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_width_wider_than_largest_count_is_data_error(self, tmp_path, order):
+        # The width gives the trigram table its type, so a wider one would
+        # load a table wider than training gives the same counts.
         path = tmp_path / "m.slmm"
         slamm.NgramModel.train([b"abracadabra"], n=3, zoo_id="zoo").save(path)
         raw = path.read_bytes()
-        grown = _patch_record(raw, order=3, count=1000)
+        recs, width = _records(raw, order)
+        assert width == 1
+        path.write_bytes(_rewrite(raw, order, recs, 2))
+        with pytest.raises(DataError, match=f"order-{order} count width 2 is wider"):
+            slamm.NgramModel.load(path)
 
-        class GrowsOnSeekBack(io.BytesIO):
-            def seek(self, pos, whence=0):
-                if pos < self.tell():
-                    self.getbuffer()[:] = grown
-                return super().seek(pos, whence)
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    def test_width_outside_1_2_4_8_is_data_error(self, tmp_path, width):
+        path = tmp_path / "m.slmm"
+        slamm.NgramModel.train([b"abracadabra"], n=2, zoo_id="zoo").save(path)
+        path.write_bytes(_patch_width(path.read_bytes(), order=2, width=width))
+        with pytest.raises(DataError, match=f"order-2 count width {width} is not 1, 2, 4 or 8"):
+            slamm.NgramModel.load(path)
 
-        fh = GrowsOnSeekBack(raw)
-        fh.seek(_order_offset(raw, 1))
-        with pytest.raises(DataError, match="order-3 count overflows"):
-            list(slamm._read_records(fh, 3, []))
+    def test_golden_bytes(self, tmp_path):
+        # The layout, pinned: a change to it fails here.
+        path = tmp_path / "m.slmm"
+        slamm.NgramModel.train([b"abracadabra"], n=2, zoo_id="zoo").save(path)
+        assert path.read_bytes() == bytes.fromhex(
+            "534c4d4d"  # magic "SLMM"
+            "0200" "02" "0300"  # version 2, order 2, 3-byte zoo id
+            "000000000000e03f"  # discount 0.5
+            "bbbdd7d9df7cdb3d"  # unseen floor 1e-10
+            "7a6f6f"  # zoo id "zoo"
+            "0500000000000000" "01"  # order 1: 5 records, counts 1 byte wide
+            "61000000" "05"  # a: 5
+            "62000000" "02"  # b: 2
+            "63000000" "01"  # c: 1
+            "64000000" "01"  # d: 1
+            "72000000" "02"  # r: 2
+            "0700000000000000" "01"  # order 2: 7 records, counts 1 byte wide
+            "62610000" "02"  # ab: 2
+            "63610000" "01"  # ac: 1
+            "64610000" "01"  # ad: 1
+            "72620000" "02"  # br: 2
+            "61630000" "01"  # ca: 1
+            "61640000" "01"  # da: 1
+            "61720000" "02"  # ra: 2
+        )
 
 
 @pytest.fixture(scope="module")
