@@ -48,11 +48,6 @@ class CompressorSpec:
         ]
         return lzma.compress(data, format=lzma.FORMAT_XZ, filters=filters)
 
-    def decompress(self, blob: bytes) -> bytes:
-        if self.algorithm_id == "zlib":
-            return zlib.decompress(blob)
-        return lzma.decompress(blob, format=lzma.FORMAT_XZ)
-
     def compressed_size(self, data: bytes) -> int:
         return len(self.compress(data))
 

@@ -1,8 +1,9 @@
 """Single entry point multiplexing the pipeline's subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Machine-readable
-outputs embed the tool version and the effective configuration; CSV
-outputs get a ``<name>.meta.json`` sidecar instead.
+Exit codes: 0 success, 1 usage error, 2 data error, including input
+too large to hold in memory (``itect: out of memory: ...``).
+Machine-readable outputs embed the tool version and the effective
+configuration; CSV outputs get a ``<name>.meta.json`` sidecar instead.
 """
 
 from __future__ import annotations
@@ -619,6 +620,9 @@ def run(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"itect: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # the input is too large to hold
+        print(f"itect: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

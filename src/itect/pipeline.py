@@ -32,10 +32,6 @@ class Verdict:
     slamm_abstained: bool = False
     timings: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def slamm_overall(self) -> bool:
-        return self.slamm_verdict.overall if self.slamm_verdict else False
-
     def to_json(self) -> str:
         d = asdict(self)
         d["slamm"] = d.pop("slamm_verdict")

@@ -46,23 +46,8 @@ _MAGIC = b"SLMM"
 _FORMAT_VERSION = 2
 # Records per block when a model's counts are read, written or tallied.
 _BLOCK = 1 << 18
-# Pending codes of one order that trigger a flush into its dense counts.
-_FLUSH_CODES = 1 << 23
 # Suspect codes per block of cross-entropy terms.
 _CE_BLOCK = 1 << 14
-
-
-def _bincounted(k: int) -> bool:
-    """Whether order k is counted by bincount (256^k cells are cheap to
-    allocate per document), rather than by sorting its pending codes."""
-    return 256**k <= 1 << 16
-
-
-def _count_dtype(k: int) -> type:
-    """The type order k's table starts in: int64 where bincount adds
-    into it, else uint8, widened by :meth:`NgramModel._flush` as its
-    counts grow."""
-    return np.int64 if _bincounted(k) else np.uint8
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
@@ -124,12 +109,11 @@ def _read_records(fh, n: int, tables: list[np.ndarray]):
     dense table to ``tables``, scatter the records into it and yield
     ``(k, codes, counts)`` per block.
 
-    Every record is read once, in blocks of at most ``_BLOCK``. An
-    order counted by bincount gets an int64 table, the type training
-    sums in; the order counted by sorting (256^3 cells) gets the
-    unsigned type of its width, which is the narrowest of its largest
-    count, as training gives it. The blocks yield the codes as uint32
-    and the counts in their width, which finalize tallies as they are.
+    Every record is read once, in blocks of at most ``_BLOCK``. Each
+    table gets the unsigned type of its order's width, which is the
+    narrowest of its largest count, as training gives it. The blocks
+    yield the codes as uint32 and the counts in their width, which
+    finalize tallies as they are.
     """
     for k in range(1, n + 1):
         count, width = struct.unpack(
@@ -139,8 +123,7 @@ def _read_records(fh, n: int, tables: list[np.ndarray]):
             raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
         if width not in (1, 2, 4, 8):
             raise DataError(f"order-{k} count width {width} is not 1, 2, 4 or 8")
-        dtype = np.int64 if _bincounted(k) else np.dtype(f"u{width}")
-        table = np.zeros(256**k, dtype=dtype)
+        table = np.zeros(256**k, dtype=f"u{width}")
         tables.append(table)
         for codes, counts in _read_blocks(fh, k, count, width):
             table[codes] = counts
@@ -197,17 +180,15 @@ class NgramModel:
     tabulates the smoothed q of order n-1 (256^(n-1) values), so scoring
     smooths only the top order per code.
 
-    Training bincounts each document's codes of the small orders. The
-    codes of an order with more than 2^16 cells are kept pending as
-    int32 and, per flush, sorted into runs whose counts are added into
-    the dense table; the sorted distinct codes are kept, so finalize
-    and save read the non-zero counts without scanning 256^k cells.
-
-    That table starts as uint8 and is widened, flush by flush, to the
-    narrowest unsigned type of its largest count, so a zoo whose counts
-    fit in 8 bits trains in 16 MiB. ``counts`` replaces the zeroed
-    tables, as :meth:`load` does, which follows the same rule: a trained
-    zoo and its loaded copy hold the same types.
+    Training sorts each document's codes of every order into runs and
+    adds their counts into the dense table (:meth:`_add_runs`). Each
+    table starts as uint8 and is widened, document by document, to the
+    narrowest unsigned type of its largest count, so a zoo whose
+    trigram counts fit in 8 bits trains in 16 MiB. The codes each
+    document sees first are kept, so finalize and save read the
+    non-zero counts without scanning 256^k cells. ``counts`` replaces
+    the zeroed tables, as :meth:`load` does, which follows the same
+    rule: a trained zoo and its loaded copy hold the same types.
     """
 
     def __init__(
@@ -227,13 +208,12 @@ class NgramModel:
         self.smoothing = smoothing
         self.zoo_id = zoo_id
         if counts is None:
-            counts = [np.zeros(256**k, dtype=_count_dtype(k)) for k in range(1, n + 1)]
+            counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n + 1)]
         self.counts = counts
         self._finalized = False
-        self._pending: list[list[np.ndarray]] = [[] for _ in range(n)]
-        self._pending_sizes = [0] * n
-        # Sorted codes of the non-zero counts of each sort-counted order.
-        self._nonzero: list[np.ndarray | None] = [None] * n
+        # Per order, the codes first seen by each added document, until
+        # _nonzero_codes sorts them into one array.
+        self._first_seen: list[list[np.ndarray]] = [[] for _ in range(n)]
 
     # -- training ----------------------------------------------------
 
@@ -242,45 +222,27 @@ class NgramModel:
             raise RuntimeError("model is immutable after finalize()")
         if len(data) < self.n:
             raise DataError("document shorter than n")
-        for k, table in enumerate(self.counts, 1):
-            if _bincounted(k):
-                table += np.bincount(encode_ngrams(data, k), minlength=len(table))
-                continue
-            codes = encode_ngrams(data, k, np.int32)
-            self._pending[k - 1].append(codes)
-            self._pending_sizes[k - 1] += len(codes)
-            if self._pending_sizes[k - 1] > _FLUSH_CODES:
-                self._flush(k - 1)
+        for k in range(1, self.n + 1):
+            self._add_runs(k, *_sorted_runs(encode_ngrams(data, k, np.int32)))
 
-    def _flush(self, order_idx: int) -> None:
-        """Sort the order's pending codes into runs, add their counts into
-        the dense table and merge their codes into the sorted non-zero
-        codes.
+    def _add_runs(self, k: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add one document's order-k runs, ascending ``keys`` and their
+        int64 ``counts``, into the dense table, and keep the keys it had
+        no count for.
 
         The sums are taken in int64, and the table is widened to the
         narrowest unsigned type of the largest before they are stored,
-        so no count wraps. The merge keeps the runs of the sorted
-        concatenation of both code lists, which costs a sort where
-        ``np.union1d`` (hash-based in NumPy 2) costs seconds per flush.
+        so no count wraps.
         """
-        if not self._pending[order_idx]:
-            return
-        codes = np.concatenate(self._pending[order_idx])
-        self._pending[order_idx] = []
-        self._pending_sizes[order_idx] = 0
-        keys, counts = _sorted_runs(codes)
-        del codes  # keys is a copy; free the codes before the merge
-        table = self.counts[order_idx]
+        table = self.counts[k - 1]
+        old = table[keys]
+        self._first_seen[k - 1].append(keys[old == 0])
         # A uint64 table holds no count above 2^63 - 1, so its cast is exact.
-        np.add(counts, table[keys], out=counts, dtype=np.int64, casting="unsafe")
+        np.add(counts, old, out=counts, dtype=np.int64, casting="unsafe")
         dtype = np.promote_types(table.dtype, np.min_scalar_type(int(counts.max())))
         if dtype != table.dtype:
-            table = self.counts[order_idx] = table.astype(dtype)
+            table = self.counts[k - 1] = table.astype(dtype)
         table[keys] = counts
-        seen = self._nonzero[order_idx]
-        if seen is not None:
-            keys = _sorted_runs(np.concatenate([seen, keys]))[0]
-        self._nonzero[order_idx] = keys
 
     def finalize(
         self, records: Iterable[tuple[int, np.ndarray, np.ndarray]] | None = None
@@ -294,8 +256,6 @@ class NgramModel:
         continuations, from runs of ``code >> 8``, and the top order's
         support size, total and sum of squared counts.
         """
-        for i in range(self.n):
-            self._flush(i)
         totals, distinct, sumsq = [0] * self.n, [0] * self.n, 0.0
         ctx_total = [np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)]
         ctx_distinct = [np.zeros_like(t) for t in ctx_total]
@@ -337,10 +297,18 @@ class NgramModel:
         return self
 
     def _nonzero_codes(self, k: int) -> np.ndarray:
-        """Ascending codes of the non-zero order-k counts: the sorted codes
-        kept by training, or else a scan of the dense table."""
-        codes = self._nonzero[k - 1]
-        return np.flatnonzero(self.counts[k - 1]) if codes is None else codes
+        """Ascending codes of the non-zero order-k counts: the first-seen
+        codes kept by training, sorted in place into one array on the
+        first call, or for a model with no added documents a scan of the
+        dense table."""
+        seen = self._first_seen[k - 1]
+        if not seen:
+            return np.flatnonzero(self.counts[k - 1])
+        if len(seen) > 1:
+            codes = np.concatenate(seen)
+            seen[:] = [codes]
+            codes.sort()
+        return seen[0]
 
     def _records(self):
         """The non-zero counts as ``(k, codes, counts)`` blocks."""
@@ -468,8 +436,8 @@ class NgramModel:
         """Write the model in format version 2 (see the module docstring).
 
         Each order is written in the narrowest unsigned width of its
-        largest count, which for the trigram table training widens is
-        the table's own type, in blocks of ``_BLOCK`` records.
+        largest count, which for a table training widens is the table's
+        own type, in blocks of ``_BLOCK`` records.
         """
         self._require_finalized()
         zoo = self.zoo_id.encode("utf-8")

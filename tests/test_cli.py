@@ -17,6 +17,10 @@ def run(*argv):
     return cli.run(list(argv))
 
 
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 64. GiB")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small synthetic corpus with one merged, split manifest."""
@@ -441,6 +445,30 @@ class TestPipelineCommands:
         assert proc.returncode == 2
         assert "itect: data error: forest is not calibrated" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_classify_out_of_memory_exits_2(
+        self, workspace, trained, tmp_path, capsys, monkeypatch, threads
+    ):
+        monkeypatch.setattr(slamm.NgramHistogram, "from_data", _out_of_memory)
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        rc = self._classify(trained, tmp_path / "v.jsonl", good, threads=threads)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "itect: out of memory: Unable to allocate 64. GiB\n" in err
+        assert "Traceback" not in err
+
+    def test_slamm_train_out_of_memory_exits_2(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(slamm, "encode_ngrams", _out_of_memory)
+        rc = run("slamm-train", "--manifest", str(workspace["manifest"]),
+                 "--category", "benign", "--split", "train", "--n", "2",
+                 "--out", str(tmp_path / "benign.slmm"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "itect: out of memory: Unable to allocate 64. GiB\n" in err
+        assert "Traceback" not in err
 
     def test_slamm_classify_output_does_not_depend_on_threads(
         self, workspace, trained, capsys

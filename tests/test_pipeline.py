@@ -211,7 +211,7 @@ class TestItectClassify:
         v = pipeline.itect_classify(
             suspect, "s1", d["forest"], d["params"], d["malware"], d["benign"]
         )
-        assert v.itect_verdict == (v.ents_verdict or v.slamm_overall)
+        assert v.itect_verdict == (v.ents_verdict or v.slamm_verdict.overall)
         assert v.itect_verdict
         assert set(v.timings) == {"ents", "slamm"}
 

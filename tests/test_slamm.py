@@ -149,31 +149,30 @@ class TestNgramModelTraining:
             model.add_document(b"more")
 
 
+def _bincount_oracle(docs, n, smoothing):
+    """A finalized zoo "z" whose order-k table is the bincount of every
+    document's k-gram codes, in the narrowest type of its largest count."""
+    oracle = slamm.NgramModel(n=n, smoothing=smoothing, zoo_id="z")
+    for k in range(1, n + 1):
+        dense = sum(np.bincount(slamm.encode_ngrams(d, k), minlength=256**k) for d in docs)
+        oracle.counts[k - 1] = dense.astype(np.min_scalar_type(dense.max()))
+    return oracle.finalize()
+
+
 class TestTrainingOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("flush", [1000, 1 << 23])
-    def test_trained_equals_bincount_oracle(self, tmp_path, monkeypatch, n, flush):
-        # 5 x 3000 codes against a threshold of 1000 flush the top order
-        # after every document, so its sorted runs merge across flushes;
-        # bytes 0..15 make the flushes share most of their codes.
-        monkeypatch.setattr(slamm, "_FLUSH_CODES", flush)
+    def test_trained_equals_bincount_oracle(self, tmp_path, n):
+        # Every document adds its sorted runs into every order's table;
+        # bytes 0..15 make the documents share most of their codes.
         rng = np.random.default_rng(40 + n)
         docs = [rng.integers(0, hi, 3000).astype(np.uint8).tobytes() for hi in (16, 16, 40, 256)]
         docs.append(b"abracadabra" * 300)
         smoothing = slamm.SmoothingParams(discount=0.37)
         trained = slamm.NgramModel.train(docs, n=n, smoothing=smoothing, zoo_id="z")
-        oracle = slamm.NgramModel(n=n, smoothing=smoothing, zoo_id="z")
-        for k in range(1, n + 1):
-            dense = sum(
-                np.bincount(slamm.encode_ngrams(d, k), minlength=256**k) for d in docs
-            )
-            if slamm._bincounted(k):
-                oracle.counts[k - 1][:] = dense
-            else:
-                oracle.counts[k - 1] = dense.astype(np.min_scalar_type(dense.max()))
-            np.testing.assert_array_equal(trained.counts[k - 1], dense)
-            assert trained.counts[k - 1].dtype == oracle.counts[k - 1].dtype
-        oracle.finalize()
+        oracle = _bincount_oracle(docs, n, smoothing)
+        for a, b in zip(trained.counts, oracle.counts, strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
         assert len(trained._tk_safe) == len(trained._lam) == n - 1
         for k in range(2, n + 1):
             tk_safe, lam = _dense_context_tables(oracle, k)
@@ -191,7 +190,7 @@ class TestTrainingOracle:
 
     def test_trigram_training_allocates_no_second_table(self, synth_files):
         # The trigram table is 16 MiB while its counts fit in 8 bits;
-        # counting by sorted runs adds memory per pending code, not a
+        # counting by sorted runs adds memory per document code, not a
         # second array over all 256^3 cells.
         self._check_training_peak(synth_files, 0, np.uint8)
 
@@ -214,11 +213,10 @@ class TestTrainingOracle:
         assert table <= peak < 2 * table
 
     def test_uint64_table_adds_exactly(self):
-        # A count past 2^32 widens the table to uint64; the next flush
+        # A count past 2^32 widens the table to uint64; the next document
         # must add to it in int64, not fail or round through float64.
         model = slamm.NgramModel(n=3, smoothing=slamm.SmoothingParams())
         model.add_document(b"\0" * 10)
-        model._flush(2)
         model.counts[2] = model.counts[2].astype(np.uint64)
         model.counts[2][0] = (1 << 53) + 1
         model.add_document(b"\0" * 10)
@@ -226,24 +224,20 @@ class TestTrainingOracle:
         assert model.counts[2].dtype == np.uint64
         assert count_of(model, b"\0\0\0") == (1 << 53) + 9
 
-    def test_multi_flush_saves_like_one_flush(self, tmp_path, monkeypatch):
+    def test_table_widened_between_documents_saves_like_oracle(self, tmp_path):
         # Each run of 200 zeros adds 198 to one trigram count, which only
-        # the later flush lifts past 255: the uint8 table widens to uint16
-        # while training, between flushes.
+        # the later run lifts past 255: the uint8 table widens to uint16
+        # while training, between documents.
         rng = np.random.default_rng(7)
         docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(4)]
         docs[1:1] = [b"\0" * 200]
         docs[4:4] = [b"\0" * 200]
-        saved = []
-        for flush in (1000, 1 << 23):
-            monkeypatch.setattr(slamm, "_FLUSH_CODES", flush)
-            model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
-            assert model.counts[2].dtype == np.uint16
-            assert count_of(model, b"\0\0\0") >= 396
-            path = tmp_path / f"flush-{flush}.slmm"
-            model.save(path)
-            saved.append(path.read_bytes())
-        assert saved[0] == saved[1]
+        model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
+        assert model.counts[2].dtype == np.uint16
+        assert count_of(model, b"\0\0\0") >= 396
+        model.save(tmp_path / "trained.slmm")
+        _bincount_oracle(docs, 3, model.smoothing).save(tmp_path / "oracle.slmm")
+        assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
     def test_trigram_load_allocates_no_int32_table(self, synth_files, tmp_path):
         # A zoo whose counts fit in 16 bits loads its trigram table as
@@ -654,10 +648,11 @@ class TestLoadedTables:
         path = tmp_path / "m.slmm"
         trained.save(path)
         loaded = slamm.NgramModel.load(path)
-        assert loaded.counts[n - 1].dtype == (top_dtype if n == 3 else np.int64)
+        if n == 3:
+            assert loaded.counts[2].dtype == top_dtype
         for a, b in zip(trained.counts, loaded.counts, strict=True):
             assert np.array_equal(a, b)
-            assert a.dtype == b.dtype
+            assert a.dtype == b.dtype == np.min_scalar_type(int(a.max()))
         suspects = [docs[0][:500], b"\0" * 300 + b"abracadabra", bytes(range(256))]
         suspects.append(rng.integers(0, 256, 2000).astype(np.uint8).tobytes())
         for data in suspects:
