@@ -323,16 +323,20 @@ def test_criterion_6_scalability(scaling_files, capsys):
         )
 
         def classify_time(n):
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for f in files[:n]:
-                    pipeline.itect_classify(f, "x", trained, params, [mal], ben)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            t0 = time.perf_counter()
+            for f in files[:n]:
+                pipeline.itect_classify(f, "x", trained, params, [mal], ben)
+            return time.perf_counter() - t0
 
         classify_time(50)  # warm-up
-        t400, t800, t1600 = (classify_time(n) for n in (400, 800, 1600))
+        # Best of 15 rounds, each timing every size once: on a shared
+        # machine a burst of load lasting seconds then slows a few rounds,
+        # not every run of one size.
+        best = {n: math.inf for n in (400, 800, 1600)}
+        for _ in range(15):
+            for n in best:
+                best[n] = min(best[n], classify_time(n))
+        t400, t800, t1600 = best.values()
         # linear fit: time(k * n) <= 1.25 * k * time(n)
         assert t800 <= 1.25 * 2 * t400
         assert t1600 <= 1.25 * 2 * t800

@@ -161,12 +161,17 @@ def _bincount_oracle(docs, n, smoothing):
 
 class TestTrainingOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_trained_equals_bincount_oracle(self, tmp_path, n):
+    @pytest.mark.parametrize("piece", [1000, 1 << 23])
+    def test_trained_equals_bincount_oracle(self, tmp_path, n, piece):
         # Every document adds its sorted runs into every order's table;
         # bytes 0..15 make the documents share most of their codes.
+        # Cutting them into pieces of at most 1000 bytes makes 16 shorter
+        # documents whose runs merge into counts the earlier ones left.
         rng = np.random.default_rng(40 + n)
-        docs = [rng.integers(0, hi, 3000).astype(np.uint8).tobytes() for hi in (16, 16, 40, 256)]
-        docs.append(b"abracadabra" * 300)
+        whole = [rng.integers(0, hi, 3000).astype(np.uint8).tobytes() for hi in (16, 16, 40, 256)]
+        whole.append(b"abracadabra" * 300)
+        docs = [d[i : i + piece] for d in whole for i in range(0, len(d), piece)]
+        assert len(docs) == (16 if piece == 1000 else 5)
         smoothing = slamm.SmoothingParams(discount=0.37)
         trained = slamm.NgramModel.train(docs, n=n, smoothing=smoothing, zoo_id="z")
         oracle = _bincount_oracle(docs, n, smoothing)
