@@ -11,7 +11,7 @@ from __future__ import annotations
 import lzma
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,20 +88,27 @@ def similarity_rows(
     spec: CompressorSpec | None = None,
     test_digests: Sequence[str] | None = None,
     test_labels: Sequence[str] | None = None,
+    map: Callable = map,
 ) -> FeatureMatrix:
     """NCD of every test file against every train file (baseline only).
 
     Quadratic in corpus size; single-file compressed sizes are cached.
+    ``map`` computes the single-file sizes and then the rows, one per
+    test file, and returns them in order; a pool's map computes them
+    concurrently, with the same result (zlib and lzma release the GIL
+    while they compress).
     """
     spec = spec or CompressorSpec()
-    c_train = [spec.compressed_size(t) for t in train_files]
-    c_test = [spec.compressed_size(t) for t in test_files]
-    rows = np.empty((len(test_files), len(train_files)), dtype=np.float64)
-    for i, p in enumerate(test_files):
-        for j, q in enumerate(train_files):
-            rows[i, j] = ncd(p, q, spec, c_p=c_test[i], c_q=c_train[j])
+    c_train = list(map(spec.compressed_size, train_files))
+    c_test = list(map(spec.compressed_size, test_files))
+
+    def row(i: int) -> list[float]:
+        p = test_files[i]
+        return [ncd(p, q, spec, c_p=c_test[i], c_q=c) for q, c in zip(train_files, c_train)]
+
+    rows = np.array(list(map(row, range(len(test_files)))), dtype=np.float64)
     return FeatureMatrix(
-        rows=rows,
+        rows=rows.reshape(len(test_files), len(train_files)),
         col_index=list(range(len(train_files))),
         labels=list(test_labels) if test_labels is not None else None,
         digests=list(test_digests) if test_digests is not None else None,

@@ -321,13 +321,15 @@ def _cmd_baseline(args) -> int:
         if not args.train:
             raise DataError("ncd baseline requires --train manifest")
         train_entries = list(corpus.CorpusManifest.load(args.train))
-        matrix = baselines.similarity_rows(
-            [corpus.load_sample(e.path) for e in entries],
-            [corpus.load_sample(e.path) for e in train_entries],
-            spec,
-            test_digests=[e.digest for e in entries],
-            test_labels=[e.label for e in entries],
-        )
+        with _shared_pool(args) as pool:
+            matrix = baselines.similarity_rows(
+                [corpus.load_sample(e.path) for e in entries],
+                [corpus.load_sample(e.path) for e in train_entries],
+                spec,
+                test_digests=[e.digest for e in entries],
+                test_labels=[e.label for e in entries],
+                map=pool.map if pool else map,
+            )
     ents.write_feature_csv(matrix, args.out)
     _write_sidecar(args.out, args, [args.manifest])
     print(f"wrote {matrix.rows.shape} {args.metric} features to {args.out}")

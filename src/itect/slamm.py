@@ -17,7 +17,11 @@ total and read its support size and sum of squares (:class:`ZooMasses`).
 
 Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
-not fit in desk memory; the reference configuration is n = 3).
+not fit in desk memory; the reference configuration is n = 3). The
+top-order table holds each count capped at the largest value of its
+type, and a sorted overflow holds the exact counts of the capped cells
+(:class:`NgramModel`), so a zoo with a few large trigram counts keeps
+one byte per cell.
 
 A model file (format version 2) is the header (magic ``SLMM``, then
 ``<HBH d d``: version, order, zoo id length, discount, unseen floor),
@@ -104,17 +108,20 @@ def _read_blocks(fh, k: int, count: int, width: int):
         )
 
 
-def _read_records(fh, n: int, tables: list[np.ndarray]):
-    """Read each order's record count, width and records, append its
-    dense table to ``tables``, scatter the records into it and yield
-    ``(k, codes, counts)`` per block.
+def _read_records(fh, model: "NgramModel"):
+    """Read each order's record count, width and records into the
+    model's tables and yield ``(k, codes, counts)`` per block; bytes
+    after the last order raise DataError.
 
-    Every record is read once, in blocks of at most ``_BLOCK``. Each
-    table gets the unsigned type of its order's width, which is the
-    narrowest of its largest count, as training gives it. The blocks
-    yield the codes as uint32 and the counts in their width, which
-    finalize tallies as they are.
+    Every record is read once, in blocks of at most ``_BLOCK``, with no
+    seek. A lower order's table gets the unsigned type of its width,
+    which is the narrowest of its largest count, as training gives it.
+    The top order's blocks are stored as training stores a document's
+    sums (:meth:`NgramModel._store_top`), so the loaded top table and
+    overflow are the trained ones. The blocks yield the codes as uint32
+    and the counts in their width, which finalize tallies as they are.
     """
+    n = model.n
     for k in range(1, n + 1):
         count, width = struct.unpack(
             "<QB", _read_exact(fh, 9, f"order-{k} record count and width")
@@ -123,11 +130,22 @@ def _read_records(fh, n: int, tables: list[np.ndarray]):
             raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
         if width not in (1, 2, 4, 8):
             raise DataError(f"order-{k} count width {width} is not 1, 2, 4 or 8")
-        table = np.zeros(256**k, dtype=f"u{width}")
-        tables.append(table)
+        if k < n:
+            table = model.counts[k - 1] = np.zeros(256**k, dtype=f"u{width}")
         for codes, counts in _read_blocks(fh, k, count, width):
-            table[codes] = counts
+            if k < n:
+                table[codes] = counts
+            else:
+                model._store_top(codes, counts)
             yield k, codes, counts
+    if fh.read(1):
+        raise DataError(f"trailing bytes after the order-{n} records")
+
+
+def _narrowest(counts: np.ndarray) -> np.ndarray:
+    """``counts`` in the narrowest unsigned type of the largest (uint8
+    if there are none)."""
+    return counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
 
 
 @dataclass(frozen=True)
@@ -180,24 +198,30 @@ class NgramModel:
     tabulates the smoothed q of order n-1 (256^(n-1) values), so scoring
     smooths only the top order per code.
 
+    A lower-order table (65,536 cells at most) holds exact counts in the
+    narrowest unsigned type of its largest. The top-order table, of
+    type T, holds min(count, max(T)) per cell, and ``overflow`` holds
+    the ascending uint32 codes of the cells whose count is max(T) or
+    more and their exact counts, in the narrowest type of the largest.
+    T is the narrowest of uint8, uint16, uint32 and uint64 whose
+    overflow, a 4-byte code and a count per cell, takes fewer bytes
+    than the table's 256^n * sizeof(T), so
+    the layout depends only on the counts: a zoo with a few trigram
+    counts past 255 holds 16 MiB and a small overflow, one with many
+    holds the uint16 table. :meth:`top_counts` is the one reader of
+    exact top-order counts.
+
     Training sorts each document's codes of every order into runs and
-    adds their counts into the dense table (:meth:`_add_runs`). Each
-    table starts as uint8 and is widened, document by document, to the
-    narrowest unsigned type of its largest count, so a zoo whose
-    trigram counts fit in 8 bits trains in 16 MiB. The codes each
-    document sees first are kept, so finalize and save read the
-    non-zero counts without scanning 256^k cells. ``counts`` replaces
-    the zeroed tables, as :meth:`load` does, which follows the same
-    rule: a trained zoo and its loaded copy hold the same types.
+    adds their counts into the order's table (:meth:`_add_runs`). Every
+    table starts as uint8: a lower order's is widened, document by
+    document, to the type of its largest count, and the top order's as
+    its overflow grows. The codes each document sees first are kept, so
+    finalize and save read the non-zero counts without scanning 256^k
+    cells. :meth:`load` fills the tables by the same rules, so a
+    trained zoo and its loaded copy hold the same types and overflow.
     """
 
-    def __init__(
-        self,
-        n: int,
-        smoothing: SmoothingParams,
-        zoo_id: str = "",
-        counts: list[np.ndarray] | None = None,
-    ):
+    def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > MAX_DENSE_ORDER:
@@ -207,9 +231,8 @@ class NgramModel:
         self.n = n
         self.smoothing = smoothing
         self.zoo_id = zoo_id
-        if counts is None:
-            counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n + 1)]
-        self.counts = counts
+        self.counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n + 1)]
+        self.overflow = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint8))
         self._finalized = False
         # Per order, the codes first seen by each added document, until
         # _nonzero_codes sorts them into one array.
@@ -227,22 +250,75 @@ class NgramModel:
 
     def _add_runs(self, k: int, keys: np.ndarray, counts: np.ndarray) -> None:
         """Add one document's order-k runs, ascending ``keys`` and their
-        int64 ``counts``, into the dense table, and keep the keys it had
-        no count for.
+        int64 ``counts``, into the order's table, and keep the keys it
+        had no count for.
 
-        The sums are taken in int64, and the table is widened to the
-        narrowest unsigned type of the largest before they are stored,
-        so no count wraps.
+        The exact old counts are added in int64. The top order stores
+        the sums by :meth:`_store_top`; a lower order's table is widened
+        to the narrowest unsigned type of the largest sum before they
+        are stored, so no count wraps.
         """
-        table = self.counts[k - 1]
-        old = table[keys]
+        old = self._exact_counts(k, keys)
         self._first_seen[k - 1].append(keys[old == 0])
-        # A uint64 table holds no count above 2^63 - 1, so its cast is exact.
+        # Counts stay below 2^63, so casting a uint64 one to int64 is exact.
         np.add(counts, old, out=counts, dtype=np.int64, casting="unsafe")
+        if k == self.n:
+            self._store_top(keys, counts)
+            return
+        table = self.counts[k - 1]
         dtype = np.promote_types(table.dtype, np.min_scalar_type(int(counts.max())))
         if dtype != table.dtype:
             table = self.counts[k - 1] = table.astype(dtype)
         table[keys] = counts
+
+    def _store_top(self, codes: np.ndarray, counts: np.ndarray) -> None:
+        """Store exact top-order ``counts`` at ascending ``codes``, every
+        count below 2^63.
+
+        Each cell takes min(count, max(T)), and the cells at max(T) or
+        above are merged into the overflow, this call's counts replacing
+        those it held. While the overflow's bytes would reach the
+        table's, T widens one step and the cells below the new max(T)
+        leave the overflow for the table.
+        """
+        table = self.counts[-1]
+        # A count past max(T) wraps here; its cell is set to max(T) below.
+        table[codes] = counts
+        full = counts >= np.iinfo(table.dtype).max
+        if not full.any():
+            return
+        old_codes, old_counts = self.overflow
+        # np.unique keeps each code's first occurrence: this call's count.
+        over_codes, first = np.unique(
+            np.concatenate([codes[full].astype(np.uint32), old_codes]), return_index=True
+        )
+        over_counts = _narrowest(
+            np.concatenate([counts[full], old_counts], dtype=np.int64, casting="unsafe")[first]
+        )
+        while len(over_codes) * (4 + over_counts.itemsize) >= table.nbytes:
+            table = self.counts[-1] = table.astype(f"u{2 * table.itemsize}")
+            left = over_counts < np.iinfo(table.dtype).max
+            table[over_codes[left]] = over_counts[left]
+            over_codes, over_counts = over_codes[~left], _narrowest(over_counts[~left])
+        table[over_codes] = np.iinfo(table.dtype).max
+        self.overflow = (over_codes, over_counts)
+
+    def top_counts(self, codes: np.ndarray) -> np.ndarray:
+        """The exact top-order counts at ``codes``: the table's, with
+        each cell at max(T) replaced by its overflow count."""
+        table = self.counts[-1]
+        counts = table[codes]
+        over_codes, over_counts = self.overflow
+        if len(over_codes):
+            full = np.flatnonzero(counts == np.iinfo(table.dtype).max)
+            if len(full):
+                counts = counts.astype(np.promote_types(table.dtype, over_counts.dtype))
+                counts[full] = over_counts[np.searchsorted(over_codes, codes[full])]
+        return counts
+
+    def _exact_counts(self, k: int, codes: np.ndarray) -> np.ndarray:
+        """The exact order-k counts at ``codes``."""
+        return self.top_counts(codes) if k == self.n else self.counts[k - 1][codes]
 
     def finalize(
         self, records: Iterable[tuple[int, np.ndarray, np.ndarray]] | None = None
@@ -312,11 +388,11 @@ class NgramModel:
 
     def _records(self):
         """The non-zero counts as ``(k, codes, counts)`` blocks."""
-        for k, table in enumerate(self.counts, 1):
+        for k in range(1, self.n + 1):
             nz = self._nonzero_codes(k)
             for start in range(0, len(nz), _BLOCK):
                 codes = nz[start : start + _BLOCK]
-                yield k, codes, table[codes]
+                yield k, codes, self._exact_counts(k, codes)
 
     def _lower_order_table(self) -> np.ndarray:
         """Smoothed q at every code of order n-1, the top order's back-off.
@@ -405,11 +481,11 @@ class NgramModel:
 
         The orders below the top come from the table built at
         finalize; only the top-order discount step runs per code.
-        ``top`` holds ``counts[n-1][codes]`` if the caller has them.
+        ``top`` holds ``top_counts(codes)`` if the caller has them.
         """
         lower = self._lower_q[codes & (len(self._lower_q) - 1)]
         if top is None:
-            top = self.counts[self.n - 1][codes]
+            top = self.top_counts(codes)
         q = self._discount_step(self.n, top, codes >> 8, lower)
         return np.maximum(q, self.smoothing.unseen_floor, out=q)
 
@@ -436,8 +512,8 @@ class NgramModel:
         """Write the model in format version 2 (see the module docstring).
 
         Each order is written in the narrowest unsigned width of its
-        largest count, which for a table training widens is the table's
-        own type, in blocks of ``_BLOCK`` records.
+        largest exact count, in blocks of ``_BLOCK`` records; the top
+        order's largest is its overflow's, if that holds any.
         """
         self._require_finalized()
         zoo = self.zoo_id.encode("utf-8")
@@ -456,24 +532,28 @@ class NgramModel:
             fh.write(zoo)
             for k, table in enumerate(self.counts, 1):
                 nz = self._nonzero_codes(k)
-                width = np.min_scalar_type(int(table.max())).itemsize
+                largest = int(table.max())
+                if k == self.n:
+                    largest = max(largest, int(self.overflow[1].max(initial=0)))
+                width = np.min_scalar_type(largest).itemsize
                 fh.write(struct.pack("<QB", len(nz), width))
                 record = _record_dtype(width)
                 for start in range(0, len(nz), _BLOCK):
                     codes = nz[start : start + _BLOCK]
                     rec = np.empty(len(codes), dtype=record)
                     rec["g"] = codes
-                    rec["c"] = table[codes]
+                    rec["c"] = self._exact_counts(k, codes)
                     fh.write(rec)
 
     @classmethod
     def load(cls, path: str | Path) -> "NgramModel":
-        """Read a model file; a truncated or corrupt one, or one of another
-        format version, raises DataError.
+        """Read a model file; a truncated or corrupt one, one with bytes
+        after its last order, or one of another format version, raises
+        DataError.
 
         Each block of records is read once and tallied by finalize as it
         is read, so loading makes no pass over the 256^n cells, nor
-        allocates a table for them wider than their largest count needs.
+        allocates a table wider than the layout its counts give.
         """
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -497,14 +577,13 @@ class NgramModel:
                 zoo_id = _read_exact(fh, zoo_len, "zoo id").decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError("zoo id is not UTF-8") from None
-            counts: list[np.ndarray] = []
-            model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id, counts=counts)
-            return model.finalize(_read_records(fh, n, counts))
+            model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id)
+            return model.finalize(_read_records(fh, model))
 
 
 class ZooMasses(NamedTuple):
     """What KLD and MSE read of a zoo besides its gathered counts, whose
-    masses are ``counts[n-1][codes] / total``."""
+    masses are ``top_counts(codes) / total``."""
 
     support_size: int
     total: int
@@ -558,7 +637,7 @@ def _top_counts(model: NgramModel, p: NgramHistogram) -> np.ndarray:
     a suspect of another order raises DataError."""
     if p.n != model.n:
         raise DataError(f"histogram order {p.n} does not match model order {model.n}")
-    return model.counts[model.n - 1][p.keys]
+    return model.top_counts(p.keys)
 
 
 def cross_entropy(

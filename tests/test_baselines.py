@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from itect import baselines
 from itect.errors import DataError
+from itect.pool import SharedPool
 
 ZLIB = baselines.CompressorSpec(algorithm_id="zlib", level=6)
 
@@ -119,3 +120,17 @@ class TestSimilarityRows:
         m = baselines.similarity_rows(test, train, ZLIB)
         for j, q in enumerate(train):
             assert m.rows[0, j] == pytest.approx(baselines.ncd(test[0], q, ZLIB))
+
+    @pytest.mark.parametrize("helpers", [1, 3])
+    def test_pooled_rows_equal_serial(self, helpers):
+        # Bit for bit: every row is computed by the same code on any thread.
+        rng = np.random.default_rng(7)
+        train = [rng.integers(0, hi, 3000).astype(np.uint8).tobytes() for hi in (4, 16, 64, 256)]
+        test = train[:2] + [rng.integers(0, 32, 2000).astype(np.uint8).tobytes() for _ in range(5)]
+        serial = baselines.similarity_rows(test, train, ZLIB)
+        with SharedPool(helpers) as pool:
+            pooled = baselines.similarity_rows(test, train, ZLIB, map=pool.map)
+            empty = baselines.similarity_rows([], train, ZLIB, map=pool.map)
+        assert pooled.rows.shape == serial.rows.shape == (7, 4)
+        assert pooled.rows.tobytes() == serial.rows.tobytes()
+        assert empty.rows.shape == (0, 4)

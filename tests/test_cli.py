@@ -362,6 +362,21 @@ class TestPipelineCommands:
         assert rc == 0
         assert out.exists() and (tmp_path / "cr.csv.meta.json").exists()
 
+    def test_baseline_ncd_does_not_depend_on_threads(self, workspace, tmp_path):
+        manifest = str(workspace["manifest"])
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"ncd-{threads}.csv"
+            rc = run(
+                "--threads", threads, "baseline", "ncd", "--manifest", manifest,
+                "--train", manifest, "--compressor", "zlib", "--level", "1",
+                "--out", str(out),
+            )
+            assert rc == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) > 2
+
     def test_baseline_ncd_requires_train(self, workspace, tmp_path):
         rc = run(
             "baseline", "ncd", "--manifest", str(workspace["manifest"]),

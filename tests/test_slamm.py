@@ -17,9 +17,59 @@ def uniform_unigram_model():
     return slamm.NgramModel.train([bytes(range(256))], n=1)
 
 
+def exact_counts(model, k):
+    """The dense exact order-k counts: the order's table, or for a top
+    table with an overflow, the table in the narrowest type of the
+    largest count with the overflow's counts in place."""
+    table = model.counts[k - 1]
+    codes, over = model.overflow
+    if k < model.n or not len(codes):
+        return table
+    exact = table.astype(np.promote_types(table.dtype, over.dtype))
+    exact[codes] = over
+    return exact
+
+
+def top_layout(nz, exact, cells):
+    """The top table's type T, the overflow's codes and its counts that
+    the layout rule gives the non-zero exact counts ``exact`` at the
+    ascending codes ``nz`` of a table of ``cells`` cells: the narrowest
+    T whose overflow, the cells at max(T) or above as uint32 codes and
+    counts in the narrowest type of their largest, takes fewer bytes
+    than the table's cells * sizeof(T)."""
+    for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)):
+        full = exact >= np.iinfo(dtype).max
+        codes, counts = nz[full], exact[full]
+        counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+        if len(codes) * (4 + counts.itemsize) < cells * dtype.itemsize:
+            return dtype, codes.astype(np.uint32), counts
+    raise AssertionError("no type holds the counts")
+
+
+def assert_top_layout(model, exact=None):
+    """The model's top table and overflow are the layout of the dense
+    exact top-order counts ``exact``, by default its own: each non-zero
+    cell holds min(count, max(T)), and no other cell is non-zero."""
+    if exact is None:
+        exact = exact_counts(model, model.n)
+    nz = np.flatnonzero(exact)
+    dtype, codes, counts = top_layout(nz, exact[nz], exact.size)
+    table = model.counts[model.n - 1]
+    assert table.dtype == dtype
+    capped = exact[nz].astype(dtype)
+    capped[exact[nz] >= np.iinfo(dtype).max] = np.iinfo(dtype).max
+    np.testing.assert_array_equal(table[nz], capped)
+    assert np.count_nonzero(table) == len(nz)
+    over_codes, over_counts = model.overflow
+    np.testing.assert_array_equal(over_codes, codes)
+    np.testing.assert_array_equal(over_counts, counts)
+    assert over_codes.dtype == np.uint32
+    assert over_counts.dtype == counts.dtype
+
+
 def count_of(model, gram):
     """Raw count of a k-gram, k <= n."""
-    return int(model.counts[len(gram) - 1][int.from_bytes(gram, "big")])
+    return int(exact_counts(model, len(gram))[int.from_bytes(gram, "big")])
 
 
 def sequence_logprob(model, data):
@@ -39,7 +89,7 @@ def zoo_masses(model, p):
     """A zoo's three numbers and its masses at the suspect's keys, as
     ``slamm_classify`` reads them."""
     masses = model.histogram()
-    return masses, model.counts[model.n - 1][p.keys] / masses.total
+    return masses, exact_counts(model, model.n)[p.keys] / masses.total
 
 
 def brute_force_logprob(model, data):
@@ -52,7 +102,7 @@ def brute_force_logprob(model, data):
         q = max(count_of(model, bytes([w])) - d, 0.0) / max(model.total_tokens, 1)
         q += (
             d
-            * np.count_nonzero(model.counts[0])
+            * np.count_nonzero(exact_counts(model, 1))
             / max(model.total_tokens, 1)
             / 256.0
         )
@@ -76,17 +126,19 @@ def per_order_q(model, codes):
     """The back-off chain re-smoothed order by order at every code."""
     d = model.smoothing.discount
     t1 = max(model.total_tokens, 1)
-    q = np.maximum(model.counts[0][codes & 0xFF] - d, 0.0) / t1 + (
-        d * np.count_nonzero(model.counts[0]) / t1
+    unigrams = exact_counts(model, 1)
+    q = np.maximum(unigrams[codes & 0xFF] - d, 0.0) / t1 + (
+        d * np.count_nonzero(unigrams) / t1
     ) * (1.0 / 256.0)
     for k in range(2, model.n + 1):
         gk = codes & ((1 << (8 * k)) - 1)
-        table = model.counts[k - 1].reshape(256 ** (k - 1), 256)
+        counts = exact_counts(model, k)
+        table = counts.reshape(256 ** (k - 1), 256)
         tk = table.sum(axis=1, dtype=np.int64)[gk >> 8]
         distinct = np.count_nonzero(table, axis=1).astype(np.int64)[gk >> 8]
         seen = tk > 0
         tk_safe = np.where(seen, tk, 1)
-        num = np.maximum(model.counts[k - 1][gk] - d, 0.0) / tk_safe
+        num = np.maximum(counts[gk] - d, 0.0) / tk_safe
         lam = d * distinct / tk_safe
         q = np.where(seen, num + lam * q, q)
     return np.maximum(q, model.smoothing.unseen_floor)
@@ -151,7 +203,8 @@ class TestNgramModelTraining:
 
 def _bincount_oracle(docs, n, smoothing):
     """A finalized zoo "z" whose order-k table is the bincount of every
-    document's k-gram codes, in the narrowest type of its largest count."""
+    document's k-gram codes, in the narrowest type of its largest count;
+    its top table holds the exact counts, with no overflow."""
     oracle = slamm.NgramModel(n=n, smoothing=smoothing, zoo_id="z")
     for k in range(1, n + 1):
         dense = sum(np.bincount(slamm.encode_ngrams(d, k), minlength=256**k) for d in docs)
@@ -175,9 +228,12 @@ class TestTrainingOracle:
         smoothing = slamm.SmoothingParams(discount=0.37)
         trained = slamm.NgramModel.train(docs, n=n, smoothing=smoothing, zoo_id="z")
         oracle = _bincount_oracle(docs, n, smoothing)
-        for a, b in zip(trained.counts, oracle.counts, strict=True):
+        assert len(trained.counts) == len(oracle.counts) == n
+        for k in range(1, n + 1):
+            a, b = exact_counts(trained, k), exact_counts(oracle, k)
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
+        assert_top_layout(trained, exact_counts(oracle, n))
         assert len(trained._tk_safe) == len(trained._lam) == n - 1
         for k in range(2, n + 1):
             tk_safe, lam = _dense_context_tables(oracle, k)
@@ -186,7 +242,7 @@ class TestTrainingOracle:
                 np.testing.assert_array_equal(model._lam[k - 2], lam)
                 # The totals are held in the narrowest type that fits them.
                 assert model._tk_safe[k - 2].dtype == np.min_scalar_type(int(tk_safe.max()))
-        top = oracle.counts[n - 1]
+        top = exact_counts(oracle, n)
         assert trained._top == oracle._top
         assert trained._top[:2] == (np.count_nonzero(top), top.sum())
         trained.save(tmp_path / "trained.slmm")
@@ -200,9 +256,11 @@ class TestTrainingOracle:
         self._check_training_peak(synth_files, 0, np.uint8)
 
     def test_widened_trigram_training_allocates_no_second_table(self, synth_files):
-        # A run of zeros makes one count 998: the table widens to 32 MiB,
-        # and only the 16 MiB one it replaces is held beside it.
-        self._check_training_peak(synth_files, 1000, np.uint16)
+        # A run of zeros makes one count 998: it goes to the overflow, and
+        # the table stays uint8, 16 MiB, with no second table beside it.
+        model = self._check_training_peak(synth_files, 1000, np.uint8)
+        assert model.overflow[0].tolist() == [0]
+        assert model.overflow[1].tolist() == [998]
 
     def _check_training_peak(self, synth_files, zeros, dtype):
         table = 256**3 * np.dtype(dtype).itemsize
@@ -216,38 +274,42 @@ class TestTrainingOracle:
             tracemalloc.stop()
         assert model.counts[2].dtype == dtype
         assert table <= peak < 2 * table
+        return model
 
     def test_uint64_table_adds_exactly(self):
-        # A count past 2^32 widens the table to uint64; the next document
-        # must add to it in int64, not fail or round through float64.
+        # A count past 2^32 is held in uint64, in the overflow; the next
+        # document must add to it in int64, not fail or round through float64.
         model = slamm.NgramModel(n=3, smoothing=slamm.SmoothingParams())
         model.add_document(b"\0" * 10)
-        model.counts[2] = model.counts[2].astype(np.uint64)
-        model.counts[2][0] = (1 << 53) + 1
+        model._store_top(np.array([0]), np.array([(1 << 53) + 1]))
         model.add_document(b"\0" * 10)
         model.finalize()
-        assert model.counts[2].dtype == np.uint64
+        assert model.overflow[1].dtype == np.uint64
+        assert exact_counts(model, 3).dtype == np.uint64
         assert count_of(model, b"\0\0\0") == (1 << 53) + 9
+        assert_top_layout(model)
 
     def test_table_widened_between_documents_saves_like_oracle(self, tmp_path):
         # Each run of 200 zeros adds 198 to one trigram count, which only
-        # the later run lifts past 255: the uint8 table widens to uint16
-        # while training, between documents.
+        # the later run lifts past 255: the cell enters the overflow while
+        # training, between documents, and its exact count needs uint16.
         rng = np.random.default_rng(7)
         docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(4)]
         docs[1:1] = [b"\0" * 200]
         docs[4:4] = [b"\0" * 200]
         model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
-        assert model.counts[2].dtype == np.uint16
+        assert model.counts[2].dtype == np.uint8
+        assert exact_counts(model, 3).dtype == np.uint16
+        assert model.overflow[0].tolist() == [0]
         assert count_of(model, b"\0\0\0") >= 396
         model.save(tmp_path / "trained.slmm")
         _bincount_oracle(docs, 3, model.smoothing).save(tmp_path / "oracle.slmm")
         assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
     def test_trigram_load_allocates_no_int32_table(self, synth_files, tmp_path):
-        # A zoo whose counts fit in 16 bits loads its trigram table as
-        # uint16, 32 MiB, and never allocates the 64 MiB int32 one.
-        table = 256**3 * np.dtype(np.int32).itemsize
+        # A zoo whose one count past 255 is 998 loads its trigram table as
+        # uint8, 16 MiB, and never allocates a 32 MiB uint16 one.
+        table = 256**3 * np.dtype(np.uint8).itemsize
         path = tmp_path / "zoo.slmm"
         slamm.NgramModel.train(synth_files[0]["benign"] + [b"\0" * 1000], n=3).save(path)
         tracemalloc.start()
@@ -257,8 +319,79 @@ class TestTrainingOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loaded.counts[2].dtype == np.uint16
-        assert table // 2 <= peak < table
+        assert loaded.counts[2].dtype == np.uint8
+        assert exact_counts(loaded, 3).dtype == np.uint16
+        assert table <= peak < 2 * table
+
+
+class TestTopOverflow:
+    def test_one_large_count_keeps_a_uint8_table(self, tmp_path):
+        # A run of 1,000 zeros makes one trigram count 998: the trained and
+        # the loaded table stay uint8, with that one cell in the overflow,
+        # and loading allocates less than the 32 MiB uint16 table.
+        rng = np.random.default_rng(5)
+        docs = [rng.integers(0, 256, 4000).astype(np.uint8).tobytes(), b"\0" * 1000]
+        trained = slamm.NgramModel.train(docs, n=3)
+        path = tmp_path / "m.slmm"
+        trained.save(path)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            loaded = slamm.NgramModel.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256**3 * 2
+        for model in (trained, loaded):
+            assert model.counts[2].dtype == np.uint8
+            codes, counts = model.overflow
+            assert (codes.tolist(), counts.tolist()) == ([0], [998])
+            assert (codes.dtype, counts.dtype) == (np.uint32, np.uint16)
+            assert_top_layout(model)
+
+    @pytest.mark.parametrize(
+        "distinct, big, dtype, overflow",
+        [
+            # 42 counts of 300 need 42 * 6 = 252 bytes of overflow, under the
+            # 256-byte uint8 table; 43 need 258 and 64 need 384, so the
+            # table widens to uint16 and the overflow empties.
+            (42, 0, np.uint8, 42),
+            (43, 0, np.uint16, 0),
+            (64, 0, np.uint16, 0),
+            # A count of 70,000 stays in the widened table's overflow.
+            (43, 70_000, np.uint16, 1),
+        ],
+    )
+    def test_overflow_that_would_reach_the_table_widens_it(
+        self, tmp_path, monkeypatch, distinct, big, dtype, overflow
+    ):
+        # Pieces of 1,000 bytes make the counts pass 255 over several
+        # documents, and blocks of 5 records over several loaded blocks.
+        monkeypatch.setattr(slamm, "_BLOCK", 5)
+        data = bytes(range(distinct)) * 300 + b"\xff" * big
+        docs = [data[i : i + 1000] for i in range(0, len(data), 1000)]
+        trained = slamm.NgramModel.train(docs, n=1, zoo_id="z")
+        trained.save(tmp_path / "trained.slmm")
+        loaded = slamm.NgramModel.load(tmp_path / "trained.slmm")
+        for model in (trained, loaded):
+            assert model.counts[0].dtype == dtype
+            assert len(model.overflow[0]) == overflow
+            assert_top_layout(model)
+        _bincount_oracle(docs, 1, trained.smoothing).save(tmp_path / "oracle.slmm")
+        assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
+
+    @pytest.mark.parametrize("block", [5, 1 << 18])
+    def test_loaded_zoo_with_overflow_saves_its_own_bytes(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(slamm, "_BLOCK", block)
+        rng = np.random.default_rng(9)
+        docs = [rng.integers(0, 4, 20_000).astype(np.uint8).tobytes(), b"\0" * 70_000]
+        path = tmp_path / "trained.slmm"
+        slamm.NgramModel.train(docs, n=3, zoo_id="z").save(path)
+        loaded = slamm.NgramModel.load(path)
+        assert len(loaded.overflow[0]) > 1
+        assert loaded.counts[2].dtype == np.uint8
+        loaded.save(tmp_path / "again.slmm")
+        assert (tmp_path / "again.slmm").read_bytes() == path.read_bytes()
 
 
 class TestSmoothing:
@@ -429,8 +562,8 @@ class TestSerialization:
         assert loaded.n == model.n
         assert loaded.zoo_id == "zoo-a"
         assert loaded.smoothing == model.smoothing
-        for a, b in zip(model.counts, loaded.counts):
-            np.testing.assert_array_equal(a, b)
+        for k in range(1, model.n + 1):
+            np.testing.assert_array_equal(exact_counts(model, k), exact_counts(loaded, k))
         p = slamm.NgramHistogram.from_data(b"cabana", model.n)
         assert slamm.cross_entropy(loaded, p) == pytest.approx(
             slamm.cross_entropy(model, p), abs=1e-12
@@ -506,6 +639,11 @@ class TestSerialization:
                 "zero count",
                 id="zero-count",
             ),
+            pytest.param(
+                lambda b: b + b"GARBAGE",
+                "trailing bytes after the order-2 records",
+                id="trailing-bytes",
+            ),
         ],
     )
     def test_corrupt_file_is_data_error(self, tmp_path, corrupt, match):
@@ -525,8 +663,10 @@ class TestSerialization:
         raw = _patch_record(path.read_bytes(), order=3, count=1 << 31, width=4)
         path.write_bytes(raw)
         model = slamm.NgramModel.load(path)
-        assert model.counts[2].dtype == np.uint32
-        assert model.counts[2].max() == 1 << 31
+        assert exact_counts(model, 3).dtype == np.uint32
+        assert exact_counts(model, 3).max() == 1 << 31
+        assert model.overflow[1].tolist() == [1 << 31]
+        assert_top_layout(model)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_width_wider_than_largest_count_is_data_error(self, tmp_path, order):
@@ -604,9 +744,10 @@ class TestLoadFuzz:
                 model = slamm.NgramModel.load(path)
             except DataError:
                 return
-        top = model.counts[-1]
-        if model.n == 3:
-            assert top.dtype == np.min_scalar_type(int(top.max()))
+        for k in range(1, model.n + 1):
+            counts = exact_counts(model, k)
+            assert counts.dtype == np.min_scalar_type(int(counts.max()))
+        assert_top_layout(model)
         for data in [b"ab", b"abracadabra" * 3, bytes(range(256)), b"\0" * 300]:
             try:
                 slamm.slamm_classify(data, [model], model)
@@ -617,7 +758,7 @@ class TestLoadFuzz:
 def _dense_context_stats(model, k):
     """Per-context total and distinct continuations of order k, from a
     full scan of the dense counts."""
-    table = model.counts[k - 1].reshape(256 ** (k - 1), 256)
+    table = exact_counts(model, k).reshape(256 ** (k - 1), 256)
     return table.sum(axis=1, dtype=np.int64), np.count_nonzero(table, axis=1)
 
 
@@ -638,7 +779,8 @@ class TestLoadedTables:
         # Small blocks split context runs across blocks on load and on
         # finalize; bytes 0..39 leave most contexts unseen. A run of
         # zeros sets the largest trigram count, 998 or 69,998, and so
-        # the type the trigram table loads in; training skips an empty run.
+        # the type of the exact trigram counts, which the trigram table's
+        # overflow holds; training skips an empty run.
         monkeypatch.setattr(slamm, "_BLOCK", block)
         for zeros, top_dtype in [(0, np.uint8), (1000, np.uint16), (70_000, np.uint32)]:
             self._check_loaded_equals_trained(tmp_path, n, zeros, top_dtype)
@@ -654,10 +796,16 @@ class TestLoadedTables:
         trained.save(path)
         loaded = slamm.NgramModel.load(path)
         if n == 3:
-            assert loaded.counts[2].dtype == top_dtype
-        for a, b in zip(trained.counts, loaded.counts, strict=True):
+            assert loaded.counts[2].dtype == np.uint8
+            assert exact_counts(loaded, 3).dtype == top_dtype
+        assert len(trained.counts) == len(loaded.counts) == n
+        for k in range(1, n + 1):
+            a, b = exact_counts(trained, k), exact_counts(loaded, k)
             assert np.array_equal(a, b)
             assert a.dtype == b.dtype == np.min_scalar_type(int(a.max()))
+        for model in (trained, loaded):
+            assert_top_layout(model)
+        assert loaded.counts[n - 1].dtype == trained.counts[n - 1].dtype
         suspects = [docs[0][:500], b"\0" * 300 + b"abracadabra", bytes(range(256))]
         suspects.append(rng.integers(0, 256, 2000).astype(np.uint8).tobytes())
         for data in suspects:
@@ -688,7 +836,7 @@ class TestLoadedTables:
             assert np.all(loaded._tk_safe[k - 2][~seen] == 1)
             assert np.all(loaded._lam[k - 2][~seen] == 1.0)
         h_trained, h_loaded = trained.histogram(), loaded.histogram()
-        top = trained.counts[n - 1]
+        top = exact_counts(trained, n)
         assert h_trained.support_size == h_loaded.support_size == np.count_nonzero(top)
         assert h_trained.total == h_loaded.total == top.sum()
         assert h_trained.sum_of_squares == h_loaded.sum_of_squares
@@ -768,7 +916,7 @@ class TestHistogram:
         # A zoo's masses pool the n-grams of all its documents.
         model = slamm.NgramModel.train([b"ab", b"ab", b"cd"], n=2)
         masses = model.histogram()
-        got = model.counts[1][np.array([0x6162, 0x6364, 0x6263])] / masses.total
+        got = exact_counts(model, 2)[np.array([0x6162, 0x6364, 0x6263])] / masses.total
         np.testing.assert_allclose(got, [2 / 3, 1 / 3, 0.0], rtol=1e-15)
         assert masses.support_size == 2
         assert masses.sum_of_squares == pytest.approx(5 / 9, rel=1e-15)
@@ -786,7 +934,7 @@ class TestHistogram:
         masses = model.histogram()
         assert masses.support_size == len(keys)
         assert masses.total == counts.sum()
-        assert model.counts[1][keys] / masses.total == pytest.approx(counts / counts.sum())
+        assert exact_counts(model, 2)[keys] / masses.total == pytest.approx(counts / counts.sum())
         assert masses.sum_of_squares == pytest.approx(((counts / counts.sum()) ** 2).sum())
 
     @pytest.mark.parametrize("n", [2, 3])
