@@ -59,6 +59,14 @@ def _at_least(kind: type, low: float, high: float = math.inf):
     return parse
 
 
+def _model_paths(text: str) -> str:
+    """Check a comma-separated list of model paths: no entry may be
+    empty. The text is kept as given, so provenance records it as is."""
+    if not all(path.strip() for path in text.split(",")):
+        raise argparse.ArgumentTypeError(f"empty model path in {text!r}")
+    return text
+
+
 def _fractions(text: str) -> list[float]:
     try:
         return [float(f) for f in text.split(",")]
@@ -267,8 +275,32 @@ def _cmd_slamm_train(args) -> int:
 
 
 def _load_slamm_models(model_paths: str, benign_path: str):
-    malware = [slamm.NgramModel.load(p.strip()) for p in model_paths.split(",")]
-    return malware, slamm.NgramModel.load(benign_path)
+    """The malware zoos and the benign zoo, checked as a set before any
+    sample is read: every zoo has the benign zoo's order, and each
+    malware zoo records its scores under its own diagnostics key, not
+    "benign" (:func:`slamm.diagnostic_keys`)."""
+    paths = [p.strip() for p in model_paths.split(",")]
+    malware = [slamm.NgramModel.load(p) for p in paths]
+    benign = slamm.NgramModel.load(benign_path)
+    owners: dict[str, str] = {}
+    for path, model, key in zip(paths, malware, slamm.diagnostic_keys(malware)):
+        if model.n != benign.n:
+            raise DataError(
+                f"{path}: model order {model.n} does not match the order "
+                f"{benign.n} of the benign model {benign_path}"
+            )
+        if key == "benign":
+            raise DataError(
+                f"{path}: a malware zoo may not have zoo id 'benign', the key "
+                f"of the benign model's scores ({benign_path})"
+            )
+        if key in owners:
+            raise DataError(
+                f"{owners[key]} and {path} both have zoo id {key!r}, "
+                "so one zoo's scores would replace the other's"
+            )
+        owners[key] = path
+    return malware, benign
 
 
 def _readable_samples(paths: list[str]):
@@ -505,7 +537,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_slamm_train)
 
     p = sub.add_parser("slamm-classify", help="classify files with zoo models")
-    p.add_argument("--models", required=True, help="comma-separated malware models")
+    p.add_argument("--models", required=True, type=_model_paths,
+                   help="comma-separated malware models")
     p.add_argument("--benign", required=True)
     p.add_argument("files", nargs="+")
     p.set_defaults(func=_cmd_slamm_classify)
@@ -522,7 +555,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="run both detectors, OR the verdicts")
     p.add_argument("--ents", required=True, help="trained forest file")
     p.add_argument("--ents-params", required=True)
-    p.add_argument("--slamm", required=True, help="comma-separated malware models")
+    p.add_argument("--slamm", required=True, type=_model_paths,
+                   help="comma-separated malware models")
     p.add_argument("--benign", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("files", nargs="+")

@@ -23,14 +23,18 @@ type, and a sorted overflow holds the exact counts of the capped cells
 (:class:`NgramModel`), so a zoo with a few large trigram counts keeps
 one byte per cell.
 
-A model file (format version 2) is the header (magic ``SLMM``, then
+A model file (format version 3) is the header (magic ``SLMM``, then
 ``<HBH d d``: version, order, zoo id length, discount, unseen floor),
-the UTF-8 zoo id, and per order, ascending: a ``<Q`` record count, a
-``<B`` count width W (1, 2, 4 or 8) and the order's non-zero counts as
-packed records of a little-endian uint32 gram code and a little-endian
-unsigned W-byte count, codes strictly increasing. W is the narrowest
-that holds the order's largest count, so a trigram record whose count
-fits in 16 bits takes 5 or 6 bytes.
+the UTF-8 zoo id, and per order k, ascending: a ``<Q`` record count N,
+a ``<B`` count width W (1, 2, 4 or 8), 256^(k-1) little-endian uint16
+context lengths and N packed records. Each order is a compressed sparse
+row matrix, context x last byte: a context's length is how many
+non-zero order-k counts have ``code >> 8`` equal to it (0 to 256), and
+a record is the gram's last byte (``code & 0xFF``) and its count as a
+little-endian unsigned W-byte integer. Contexts are ascending, and last
+bytes strictly increasing within a context. W is the narrowest that
+holds the order's largest count, so a trigram record whose count fits
+in 16 bits takes 2 or 3 bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ from .errors import DataError
 MAX_DENSE_ORDER = 3
 
 _MAGIC = b"SLMM"
-_FORMAT_VERSION = 2
-# Records per block when a model's counts are read, written or tallied.
+_FORMAT_VERSION = 3
+# Records per block of whole contexts when a model's counts are read,
+# written or tallied; a longer context forms a block alone.
 _BLOCK = 1 << 18
 # Suspect codes per block of cross-entropy terms.
 _CE_BLOCK = 1 << 14
@@ -64,62 +69,48 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 
 def _record_dtype(width: int) -> np.dtype:
-    """One packed record: a little-endian uint32 gram code, then a
-    little-endian unsigned count of ``width`` bytes."""
-    return np.dtype([("g", "<u4"), ("c", f"<u{width}")])
+    """One packed record: a gram's last byte, then its count as a
+    little-endian unsigned integer of ``width`` bytes."""
+    return np.dtype([("b", "u1"), ("c", f"<u{width}")])
 
 
-def _read_blocks(fh, k: int, count: int, width: int):
-    """Read ``count`` order-k records of count width ``width`` in blocks,
-    check them and yield ``(codes, counts)`` per block, as views of the
-    block's bytes.
-
-    Codes must be in range and strictly increasing, and counts non-zero,
-    below 2^63 (training sums them in int64) and in the narrowest width
-    that holds the largest, as :meth:`NgramModel.save` writes them;
-    anything else raises DataError. Strictly increasing codes lie
-    between a block's first and last, so only the last is range-checked
-    unless the block is out of order. The width is checked after the
-    last block, once the largest count is known.
-    """
-    record = _record_dtype(width)
-    last, top = -1, 0
-    for start in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - start)
-        rec = np.frombuffer(
-            _read_exact(fh, record.itemsize * size, f"order-{k} records"), dtype=record
+def _context_blocks(lengths: np.ndarray):
+    """Split an order's records into blocks of whole contexts, given each
+    context's record count ``lengths``, and yield ``(c0, lens, r0, r1)``
+    per block: its first context, its contexts' lengths and its record
+    range. A block holds at most ``_BLOCK`` records, unless one context
+    holds more; every block holds at least one record."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    total = int(ends[-1])
+    c0 = r0 = 0
+    while r0 < total:
+        c1 = max(
+            int(np.searchsorted(ends, r0 + _BLOCK, side="right")),
+            int(np.searchsorted(ends, r0, side="right")) + 1,
         )
-        codes, counts = rec["g"], rec["c"]
-        increasing = int(codes[0]) > last and bool(np.all(codes[1:] > codes[:-1]))
-        if int(codes[-1] if increasing else codes.max()) >= 256**k:
-            raise DataError(f"order-{k} gram code out of range")
-        if not increasing:
-            raise DataError(f"order-{k} gram codes not strictly increasing")
-        top = max(top, int(counts.max()))
-        if top > np.iinfo(np.int64).max:
-            raise DataError(f"order-{k} count overflows its counter")
-        if counts.min() == 0:
-            raise DataError(f"order-{k} record has a zero count")
-        last = int(codes[-1])
-        yield codes, counts
-    if np.min_scalar_type(top).itemsize != width:
-        raise DataError(
-            f"order-{k} count width {width} is wider than its largest count needs"
-        )
+        r1 = int(ends[c1 - 1])
+        yield c0, lengths[c0:c1], r0, r1
+        c0, r0 = c1, r1
 
 
 def _read_records(fh, model: "NgramModel"):
-    """Read each order's record count, width and records into the
-    model's tables and yield ``(k, codes, counts)`` per block; bytes
-    after the last order raise DataError.
+    """Read each order's record count, width, context lengths and
+    records into the model's tables and yield ``(k, c0, lens, codes,
+    counts)`` per block of whole contexts (:func:`_context_blocks`);
+    bytes after the last order raise DataError.
 
-    Every record is read once, in blocks of at most ``_BLOCK``, with no
-    seek. A lower order's table gets the unsigned type of its width,
-    which is the narrowest of its largest count, as training gives it.
-    The top order's blocks are stored as training stores a document's
-    sums (:meth:`NgramModel._store_top`), so the loaded top table and
-    overflow are the trained ones. The blocks yield the codes as uint32
-    and the counts in their width, which finalize tallies as they are.
+    Every record is read once, with no seek. A block's codes are rebuilt
+    as ``np.repeat(ctx << 8, lens) | last``, uint32, and its counts are
+    yielded in their width, which finalize tallies as they are. Context
+    lengths must be at most 256 and sum to the record count, last bytes
+    strictly increasing within a context, and counts non-zero, below
+    2^63 (training sums them in int64) and in the narrowest width that
+    holds the largest, as :meth:`NgramModel.save` writes them; anything
+    else raises DataError. A lower order's table gets the unsigned type
+    of its width, as training gives it. The top order's blocks are
+    stored as training stores a document's sums
+    (:meth:`NgramModel._store_top`), so the loaded top table and
+    overflow are the trained ones.
     """
     n = model.n
     for k in range(1, n + 1):
@@ -130,14 +121,47 @@ def _read_records(fh, model: "NgramModel"):
             raise DataError(f"order-{k} record count {count} exceeds 256^{k}")
         if width not in (1, 2, 4, 8):
             raise DataError(f"order-{k} count width {width} is not 1, 2, 4 or 8")
+        lengths = np.frombuffer(
+            _read_exact(fh, 2 * 256 ** (k - 1), f"order-{k} context lengths"), dtype="<u2"
+        )
+        if lengths.max() > 256:
+            raise DataError(f"order-{k} context length {lengths.max()} exceeds 256")
+        if int(lengths.sum(dtype=np.int64)) != count:
+            raise DataError(
+                f"order-{k} context lengths sum to {lengths.sum(dtype=np.int64)}, "
+                f"not the record count {count}"
+            )
         if k < n:
             table = model.counts[k - 1] = np.zeros(256**k, dtype=f"u{width}")
-        for codes, counts in _read_blocks(fh, k, count, width):
+        record = _record_dtype(width)
+        top = 0
+        for c0, lens, r0, r1 in _context_blocks(lengths):
+            rec = np.frombuffer(
+                _read_exact(fh, record.itemsize * (r1 - r0), f"order-{k} records"),
+                dtype=record,
+            )
+            codes = np.repeat(np.arange(c0, c0 + len(lens), dtype=np.uint32) << 8, lens)
+            codes |= rec["b"]
+            counts = rec["c"]
+            # Contexts ascend, so the codes increase across them.
+            if not np.all(codes[1:] > codes[:-1]):
+                raise DataError(
+                    f"order-{k} last bytes not strictly increasing within a context"
+                )
+            top = max(top, int(counts.max()))
+            if top > np.iinfo(np.int64).max:
+                raise DataError(f"order-{k} count overflows its counter")
+            if counts.min() == 0:
+                raise DataError(f"order-{k} record has a zero count")
             if k < n:
                 table[codes] = counts
             else:
                 model._store_top(codes, counts)
-            yield k, codes, counts
+            yield k, c0, lens, codes, counts
+        if np.min_scalar_type(top).itemsize != width:
+            raise DataError(
+                f"order-{k} count width {width} is wider than its largest count needs"
+            )
     if fh.read(1):
         raise DataError(f"trailing bytes after the order-{n} records")
 
@@ -321,23 +345,27 @@ class NgramModel:
         return self.top_counts(codes) if k == self.n else self.counts[k - 1][codes]
 
     def finalize(
-        self, records: Iterable[tuple[int, np.ndarray, np.ndarray]] | None = None
+        self,
+        records: Iterable[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] | None = None,
     ) -> "NgramModel":
         """Freeze the model and tabulate what scoring reads.
 
-        ``records`` yields ``(k, codes, counts)`` blocks of the non-zero
-        order-k counts, codes strictly increasing, orders ascending; by
-        default they are the model's own, as :meth:`save` writes them.
-        One pass gives each context's total and number of distinct
-        continuations, from runs of ``code >> 8``, and the top order's
-        support size, total and sum of squared counts.
+        ``records`` yields ``(k, c0, lens, codes, counts)`` per block of
+        whole order-k contexts, orders ascending: the block's first
+        context, its contexts' record counts and the non-zero counts at
+        their codes, strictly increasing. By default they are the
+        model's own blocks, as :meth:`save` writes them; :meth:`load`
+        passes the blocks it reads. One pass gives each context's
+        number of distinct continuations, which is its length, its
+        total, from one ``np.add.reduceat`` per block, and the top
+        order's support size, total and sum of squared counts.
         """
         totals, distinct, sumsq = [0] * self.n, [0] * self.n, 0.0
         ctx_total = [np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)]
         ctx_distinct = [np.zeros_like(t) for t in ctx_total]
         if records is None:
             records = self._records()
-        for k, codes, counts in records:
+        for k, c0, lens, codes, counts in records:
             totals[k - 1] += int(counts.sum(dtype=np.int64))
             distinct[k - 1] += len(codes)
             if k == self.n:
@@ -347,11 +375,11 @@ class NgramModel:
                 c = counts.astype(np.float64)
                 sumsq += float(np.square(c, out=c).sum())
             if k >= 2:
-                ctx = codes >> 8
-                starts = np.flatnonzero(np.diff(ctx, prepend=-1))
-                runs = ctx[starts]
-                ctx_total[k - 2][runs] += np.add.reduceat(counts, starts, dtype=np.int64)
-                ctx_distinct[k - 2][runs] += np.diff(starts, append=len(ctx))
+                ctx = slice(c0, c0 + len(lens))
+                ctx_distinct[k - 2][ctx] = lens
+                seen = lens > 0
+                starts = (np.cumsum(lens, dtype=np.int64) - lens)[seen]
+                ctx_total[k - 2][ctx][seen] = np.add.reduceat(counts, starts, dtype=np.int64)
         self._total_tokens = totals[0]
         self._distinct_unigrams = distinct[0]
         self._top = (distinct[-1], totals[-1], sumsq)
@@ -386,13 +414,23 @@ class NgramModel:
             codes.sort()
         return seen[0]
 
+    def _context_lengths(self, k: int) -> np.ndarray:
+        """How many non-zero order-k counts each context holds."""
+        nz = self._nonzero_codes(k)
+        return np.bincount(nz >> 8, minlength=256 ** (k - 1)).astype(np.uint16)
+
+    def _blocks(self, k: int, lengths: np.ndarray):
+        """The non-zero order-k counts as ``(k, c0, lens, codes, counts)``
+        blocks of whole contexts, as :func:`_read_records` yields them."""
+        nz = self._nonzero_codes(k)
+        for c0, lens, r0, r1 in _context_blocks(lengths):
+            codes = nz[r0:r1]
+            yield k, c0, lens, codes, self._exact_counts(k, codes)
+
     def _records(self):
-        """The non-zero counts as ``(k, codes, counts)`` blocks."""
+        """Every order's blocks, orders ascending."""
         for k in range(1, self.n + 1):
-            nz = self._nonzero_codes(k)
-            for start in range(0, len(nz), _BLOCK):
-                codes = nz[start : start + _BLOCK]
-                yield k, codes, self._exact_counts(k, codes)
+            yield from self._blocks(k, self._context_lengths(k))
 
     def _lower_order_table(self) -> np.ndarray:
         """Smoothed q at every code of order n-1, the top order's back-off.
@@ -509,11 +547,12 @@ class NgramModel:
     # -- serialization -----------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the model in format version 2 (see the module docstring).
+        """Write the model in format version 3 (see the module docstring).
 
         Each order is written in the narrowest unsigned width of its
-        largest exact count, in blocks of ``_BLOCK`` records; the top
-        order's largest is its overflow's, if that holds any.
+        largest exact count, the top order's largest being its
+        overflow's if that holds any: its context lengths, then its
+        records in the blocks of whole contexts that finalize tallies.
         """
         self._require_finalized()
         zoo = self.zoo_id.encode("utf-8")
@@ -531,18 +570,18 @@ class NgramModel:
             )
             fh.write(zoo)
             for k, table in enumerate(self.counts, 1):
-                nz = self._nonzero_codes(k)
+                lengths = self._context_lengths(k)
                 largest = int(table.max())
                 if k == self.n:
                     largest = max(largest, int(self.overflow[1].max(initial=0)))
                 width = np.min_scalar_type(largest).itemsize
-                fh.write(struct.pack("<QB", len(nz), width))
+                fh.write(struct.pack("<QB", int(lengths.sum()), width))
+                fh.write(lengths.astype("<u2").tobytes())
                 record = _record_dtype(width)
-                for start in range(0, len(nz), _BLOCK):
-                    codes = nz[start : start + _BLOCK]
+                for _, _, _, codes, counts in self._blocks(k, lengths):
                     rec = np.empty(len(codes), dtype=record)
-                    rec["g"] = codes
-                    rec["c"] = self._exact_counts(k, codes)
+                    rec["b"] = codes & 0xFF
+                    rec["c"] = counts
                     fh.write(rec)
 
     @classmethod
@@ -551,9 +590,11 @@ class NgramModel:
         after its last order, or one of another format version, raises
         DataError.
 
-        Each block of records is read once and tallied by finalize as it
-        is read, so loading makes no pass over the 256^n cells, nor
-        allocates a table wider than the layout its counts give.
+        A file of format version 2 or older asks for a retrain with
+        slamm-train; no older format is read. Each block of whole
+        contexts is read once and tallied by finalize as it is read, so
+        loading makes no pass over the 256^n cells, nor allocates a
+        table wider than the layout its counts give.
         """
         with open(path, "rb") as fh:
             magic = fh.read(4)
@@ -720,6 +761,13 @@ class SlammVerdict:
             raise ValueError("overall must be the conjunction of the three flags")
 
 
+def diagnostic_keys(malware_models: Sequence[NgramModel]) -> list[str]:
+    """The key of each malware zoo's scores in
+    :attr:`SlammVerdict.diagnostics`: its zoo id, or ``zoo<i>`` for the
+    i-th zoo, from 1, if it has none. The benign zoo's key is "benign"."""
+    return [model.zoo_id or f"zoo{i}" for i, model in enumerate(malware_models, 1)]
+
+
 def slamm_classify(
     data: bytes,
     malware_models: Sequence[NgramModel],
@@ -751,8 +799,8 @@ def slamm_classify(
     base, *per_zoo = map(scores, [benign, *malware_models])
     diagnostics = {"benign": base}
     cx = cd = cmse = False
-    for model, zoo in zip(malware_models, per_zoo):
-        diagnostics[model.zoo_id or f"zoo{len(diagnostics)}"] = zoo
+    for key, zoo in zip(diagnostic_keys(malware_models), per_zoo):
+        diagnostics[key] = zoo
         cx = cx or zoo["cross_entropy"] < base["cross_entropy"]
         cd = cd or zoo["kld"] < base["kld"]
         cmse = cmse or zoo["mse"] < base["mse"]

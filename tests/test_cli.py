@@ -573,7 +573,84 @@ class TestPipelineCommands:
         rc = self._classify(trained, tmp_path / "v.jsonl", good, benign=benign)
         assert rc == 2
         err = capsys.readouterr().err
-        assert "itect: data error: histogram order 3 does not match model order 2" in err
+        poly = trained["models"]["polymorphic"]
+        assert (
+            f"itect: data error: {poly}: model order 2 does not match the order 3 "
+            f"of the benign model {benign}"
+        ) in err
+
+    def _zoo_set(self, workspace, trained, tmp_path, command, malware, benign):
+        """Run ``command`` on one held-out file with the malware zoos
+        ``malware``, a list of paths, and the benign zoo ``benign``."""
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        mal = ",".join(str(p) for p in malware)
+        if command == "slamm-classify":
+            return run("slamm-classify", "--models", mal, "--benign", str(benign), good)
+        return run(
+            "classify", "--ents", str(trained["forest"]),
+            "--ents-params", str(trained["params"]), "--slamm", mal,
+            "--benign", str(benign), "--out", str(tmp_path / "v.jsonl"), good,
+        )
+
+    def test_slamm_classify_zoo_order_mismatch_is_data_error(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        # Checked when the zoos load, not at the first file that reaches them.
+        benign = tmp_path / "benign3.slmm"
+        assert run("slamm-train", "--manifest", str(workspace["manifest"]),
+                   "--category", "benign", "--split", "train", "--n", "3",
+                   "--out", str(benign)) == 0
+        capsys.readouterr()
+        packed = trained["models"]["packed"]
+        rc = self._zoo_set(workspace, trained, tmp_path, "slamm-classify", [packed], benign)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"itect: data error: {packed}: model order 2 does not match" in err
+
+    @pytest.mark.parametrize("command", ["classify", "slamm-classify"])
+    def test_zoos_sharing_an_id_are_data_error(
+        self, workspace, trained, tmp_path, capsys, command
+    ):
+        # Both zoos would record their scores under "polymorphic", one
+        # replacing the other's.
+        poly = trained["models"]["polymorphic"]
+        rc = self._zoo_set(
+            workspace, trained, tmp_path, command, [poly, poly], trained["models"]["benign"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"itect: data error: {poly} and {poly} both have zoo id 'polymorphic'" in err
+
+    @pytest.mark.parametrize("command", ["classify", "slamm-classify"])
+    def test_malware_zoo_with_id_benign_is_data_error(
+        self, workspace, trained, tmp_path, capsys, command
+    ):
+        # Its scores would replace the reference's under "benign".
+        models = trained["models"]
+        rc = self._zoo_set(
+            workspace, trained, tmp_path, command,
+            [models["benign"], models["packed"]], models["polymorphic"],
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (
+            f"itect: data error: {models['benign']}: a malware zoo may not have "
+            f"zoo id 'benign', the key of the benign model's scores ({models['polymorphic']})"
+        ) in err
+
+    @pytest.mark.parametrize("command, flag", [("classify", "--slamm"),
+                                               ("slamm-classify", "--models")])
+    def test_empty_model_path_is_usage_error(
+        self, workspace, trained, tmp_path, capsys, command, flag
+    ):
+        packed = trained["models"]["packed"]
+        rc = self._zoo_set(
+            workspace, trained, tmp_path, command, [packed, ""], trained["models"]["benign"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"itect: usage error: argument {flag}: empty model path in '{packed},'" in err
 
     def test_classify_version_1_model_is_data_error(self, workspace, trained, tmp_path):
         # A zoo file of format version 1 is refused, with a message to

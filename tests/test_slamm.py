@@ -485,37 +485,48 @@ class TestSmoothing:
 
 
 # Header of a bigram model with default smoothing and a 3-byte zoo id.
-_HEADER = b"SLMM" + struct.pack("<HBH d d", 2, 2, 3, 0.5, 1e-10)
+_HEADER = b"SLMM" + struct.pack("<HBH d d", 3, 2, 3, 0.5, 1e-10)
 
 
 def _order_offset(raw, order):
     """Offset of the record-count field of ``order`` in a model file."""
     pos = len(_HEADER) + 3
-    for _ in range(order - 1):
+    for k in range(1, order):
         count, width = struct.unpack_from("<QB", raw, pos)
-        pos += 9 + (4 + width) * count
+        pos += 9 + 2 * 256 ** (k - 1) + (1 + width) * count
     return pos
 
 
 def _records(raw, order):
-    """The ``(code, count)`` records of ``order`` and its count width."""
+    """The ``(code, count)`` records of ``order``, each code rebuilt from
+    its context's position in the length table and its last byte, and
+    the order's count width."""
     pos = _order_offset(raw, order)
     count, width = struct.unpack_from("<QB", raw, pos)
+    lengths = struct.unpack_from(f"<{256 ** (order - 1)}H", raw, pos + 9)
+    assert sum(lengths) == count
+    at = pos + 9 + 2 * len(lengths)
     recs = []
-    for at in range(pos + 9, pos + 9 + (4 + width) * count, 4 + width):
-        (code,) = struct.unpack_from("<I", raw, at)
-        recs.append((code, int.from_bytes(raw[at + 4 : at + 4 + width], "little")))
+    for ctx, length in enumerate(lengths):
+        for _ in range(length):
+            recs.append(((ctx << 8) | raw[at], int.from_bytes(raw[at + 1 : at + 1 + width], "little")))
+            at += 1 + width
     return recs, width
 
 
 def _rewrite(raw, order, recs, width):
-    """Replace the records of ``order``, written at ``width``, and its
-    record count and width to match."""
+    """Replace the records of ``order``, written in the given sequence at
+    ``width``, and its record count, width and context lengths to match;
+    each context's length counts the records whose code is in it."""
     pos = _order_offset(raw, order)
     old, old_width = _records(raw, order)
-    end = pos + 9 + (4 + old_width) * len(old)
-    body = b"".join(struct.pack("<I", g) + c.to_bytes(width, "little") for g, c in recs)
-    return raw[:pos] + struct.pack("<QB", len(recs), width) + body + raw[end:]
+    end = pos + 9 + 2 * 256 ** (order - 1) + (1 + old_width) * len(old)
+    lengths = [0] * 256 ** (order - 1)
+    for g, _ in recs:
+        lengths[g >> 8] += 1
+    table = struct.pack(f"<{len(lengths)}H", *lengths)
+    body = b"".join(bytes([g & 0xFF]) + c.to_bytes(width, "little") for g, c in recs)
+    return raw[:pos] + struct.pack("<QB", len(recs), width) + table + body + raw[end:]
 
 
 def _patch_record(raw, order, gram=None, count=None, width=None):
@@ -532,6 +543,13 @@ def _patch_count(raw, order, count):
     return raw[:pos] + struct.pack("<Q", count) + raw[pos + 8 :]
 
 
+def _patch_length(raw, order, ctx, length):
+    """Overwrite the length of context ``ctx`` of ``order``, leaving its
+    records and record count as they are."""
+    pos = _order_offset(raw, order) + 9 + 2 * ctx
+    return raw[:pos] + struct.pack("<H", length) + raw[pos + 2 :]
+
+
 def _patch_width(raw, order, width):
     """Overwrite the count width of ``order``, leaving its records as they are."""
     pos = _order_offset(raw, order) + 8
@@ -539,14 +557,17 @@ def _patch_width(raw, order, width):
 
 
 def _swap_records(raw, order):
-    """Swap the first two records of ``order``."""
+    """Swap the first two records of ``order``, which share a context, so
+    that their last bytes decrease."""
     recs, width = _records(raw, order)
+    assert recs[0][0] >> 8 == recs[1][0] >> 8
     recs[:2] = recs[1::-1]
     return _rewrite(raw, order, recs, width)
 
 
 def _repeat_record(raw, order):
-    """Write the first record of ``order`` twice, with the record count to match."""
+    """Write the first record of ``order`` twice, with the record count and
+    its context's length to match, so that a last byte repeats."""
     recs, width = _records(raw, order)
     return _rewrite(raw, order, recs[:1] + recs, width)
 
@@ -590,17 +611,17 @@ class TestSerialization:
                 id="version-1",
             ),
             pytest.param(
-                lambda b: b[:4] + struct.pack("<HB", 2, 0) + b[7:],
+                lambda b: b[:4] + struct.pack("<HB", 3, 0) + b[7:],
                 "order 0",
                 id="order-0",
             ),
             pytest.param(
-                lambda b: b[:4] + struct.pack("<HB", 2, 4) + b[7:],
+                lambda b: b[:4] + struct.pack("<HB", 3, 4) + b[7:],
                 "order 4",
                 id="order-4",
             ),
             pytest.param(
-                lambda b: b[:4] + struct.pack("<HBHd", 2, 2, 3, 2.0) + b[17:],
+                lambda b: b[:4] + struct.pack("<HBHd", 3, 2, 3, 2.0) + b[17:],
                 "smoothing",
                 id="discount-out-of-range",
             ),
@@ -610,9 +631,25 @@ class TestSerialization:
                 id="zoo-id-not-utf8",
             ),
             pytest.param(
-                lambda b: _patch_record(b, order=2, gram=256**2),
-                "out of range",
-                id="gram-code-too-large",
+                lambda b: b[:4] + struct.pack("<H", 2) + b[6:],
+                "unsupported model version 2; this build reads version 3, so retrain "
+                "the zoo with slamm-train",
+                id="version-2",
+            ),
+            pytest.param(
+                lambda b: b[: _order_offset(b, 2) + 9 + 100],
+                "order-2 context lengths needs 512 bytes, got 100",
+                id="short-context-lengths",
+            ),
+            pytest.param(
+                lambda b: _patch_length(b, order=2, ctx=0, length=257),
+                "order-2 context length 257 exceeds 256",
+                id="context-length-above-256",
+            ),
+            pytest.param(
+                lambda b: _patch_length(b, order=2, ctx=0, length=1),
+                "order-2 context lengths sum to 8, not the record count 7",
+                id="context-lengths-miss-record-count",
             ),
             pytest.param(
                 lambda b: _patch_record(b, order=1, count=1 << 63, width=8),
@@ -626,12 +663,12 @@ class TestSerialization:
             ),
             pytest.param(
                 lambda b: _swap_records(b, order=2),
-                "not strictly increasing",
+                "order-2 last bytes not strictly increasing within a context",
                 id="records-swapped",
             ),
             pytest.param(
                 lambda b: _repeat_record(b, order=2),
-                "not strictly increasing",
+                "order-2 last bytes not strictly increasing within a context",
                 id="record-repeated",
             ),
             pytest.param(
@@ -695,24 +732,31 @@ class TestSerialization:
         slamm.NgramModel.train([b"abracadabra"], n=2, zoo_id="zoo").save(path)
         assert path.read_bytes() == bytes.fromhex(
             "534c4d4d"  # magic "SLMM"
-            "0200" "02" "0300"  # version 2, order 2, 3-byte zoo id
+            "0300" "02" "0300"  # version 3, order 2, 3-byte zoo id
             "000000000000e03f"  # discount 0.5
             "bbbdd7d9df7cdb3d"  # unseen floor 1e-10
             "7a6f6f"  # zoo id "zoo"
             "0500000000000000" "01"  # order 1: 5 records, counts 1 byte wide
-            "61000000" "05"  # a: 5
-            "62000000" "02"  # b: 2
-            "63000000" "01"  # c: 1
-            "64000000" "01"  # d: 1
-            "72000000" "02"  # r: 2
+            "0500"  # the one empty context holds 5
+            "61" "05"  # a: 5
+            "62" "02"  # b: 2
+            "63" "01"  # c: 1
+            "64" "01"  # d: 1
+            "72" "02"  # r: 2
             "0700000000000000" "01"  # order 2: 7 records, counts 1 byte wide
-            "62610000" "02"  # ab: 2
-            "63610000" "01"  # ac: 1
-            "64610000" "01"  # ad: 1
-            "72620000" "02"  # br: 2
-            "61630000" "01"  # ca: 1
-            "61640000" "01"  # da: 1
-            "61720000" "02"  # ra: 2
+            + "0000" * 0x61
+            + "0300"  # context a holds 3
+            + "0100" * 3  # contexts b, c and d hold 1 each
+            + "0000" * (0x72 - 0x65)
+            + "0100"  # context r holds 1
+            + "0000" * (0xFF - 0x72)
+            + "62" "02"  # ab: 2
+            "63" "01"  # ac: 1
+            "64" "01"  # ad: 1
+            "72" "02"  # br: 2
+            "61" "01"  # ca: 1
+            "61" "01"  # da: 1
+            "61" "02"  # ra: 2
         )
 
 
@@ -753,6 +797,27 @@ class TestLoadFuzz:
                 slamm.slamm_classify(data, [model], model)
             except DataError:
                 pass
+
+
+class TestContextBlocks:
+    @pytest.mark.parametrize("block", [1, 4, 5, 1 << 18])
+    def test_blocks_hold_whole_contexts(self, monkeypatch, block):
+        # Leading, inner and trailing empty contexts, and contexts longer
+        # than a block, which form a block alone.
+        monkeypatch.setattr(slamm, "_BLOCK", block)
+        lengths = np.array([0, 0, 7, 1, 0, 3, 256, 0, 2, 0, 0], dtype=np.uint16)
+        c1 = r1 = 0
+        for c0, lens, r0, end in slamm._context_blocks(lengths):
+            assert (c0, r0) == (c1, r1)
+            np.testing.assert_array_equal(lens, lengths[c0 : c0 + len(lens)])
+            assert end - r0 == lens.sum() > 0
+            assert end - r0 <= block or np.count_nonzero(lens) == 1
+            c1, r1 = c0 + len(lens), end
+        assert r1 == lengths.sum()
+        assert not lengths[c1:].any()
+
+    def test_no_records_make_no_blocks(self):
+        assert list(slamm._context_blocks(np.zeros(256, dtype=np.uint16))) == []
 
 
 def _dense_context_stats(model, k):
