@@ -261,6 +261,9 @@ class NgramModel:
         # Per order, the codes first seen by each added document, until
         # _nonzero_codes sorts them into one array.
         self._first_seen: list[list[np.ndarray]] = [[] for _ in range(n)]
+        # Per order, the context lengths of the non-zero counts, once
+        # _context_lengths has found them.
+        self._lengths: dict[int, np.ndarray] = {}
 
     # -- training ----------------------------------------------------
 
@@ -415,9 +418,16 @@ class NgramModel:
         return seen[0]
 
     def _context_lengths(self, k: int) -> np.ndarray:
-        """How many non-zero order-k counts each context holds."""
-        nz = self._nonzero_codes(k)
-        return np.bincount(nz >> 8, minlength=256 ** (k - 1)).astype(np.uint16)
+        """How many non-zero order-k counts each context holds, kept
+        after the first call, so training's finalize and save find them
+        once. They are the distances between the contexts' first
+        positions in the ascending codes, found by binary search, so no
+        array as long as the codes is allocated."""
+        if k not in self._lengths:
+            nz = self._nonzero_codes(k)
+            firsts = np.arange(256 ** (k - 1) + 1, dtype=nz.dtype) << 8
+            self._lengths[k] = np.diff(np.searchsorted(nz, firsts)).astype(np.uint16)
+        return self._lengths[k]
 
     def _blocks(self, k: int, lengths: np.ndarray):
         """The non-zero order-k counts as ``(k, c0, lens, codes, counts)``
