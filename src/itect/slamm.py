@@ -429,18 +429,18 @@ class NgramModel:
             self._lengths[k] = np.diff(np.searchsorted(nz, firsts)).astype(np.uint16)
         return self._lengths[k]
 
-    def _blocks(self, k: int, lengths: np.ndarray):
+    def _blocks(self, k: int):
         """The non-zero order-k counts as ``(k, c0, lens, codes, counts)``
         blocks of whole contexts, as :func:`_read_records` yields them."""
         nz = self._nonzero_codes(k)
-        for c0, lens, r0, r1 in _context_blocks(lengths):
+        for c0, lens, r0, r1 in _context_blocks(self._context_lengths(k)):
             codes = nz[r0:r1]
             yield k, c0, lens, codes, self._exact_counts(k, codes)
 
     def _records(self):
         """Every order's blocks, orders ascending."""
         for k in range(1, self.n + 1):
-            yield from self._blocks(k, self._context_lengths(k))
+            yield from self._blocks(k)
 
     def _lower_order_table(self) -> np.ndarray:
         """Smoothed q at every code of order n-1, the top order's back-off.
@@ -588,9 +588,9 @@ class NgramModel:
                 fh.write(struct.pack("<QB", int(lengths.sum()), width))
                 fh.write(lengths.astype("<u2").tobytes())
                 record = _record_dtype(width)
-                for _, _, _, codes, counts in self._blocks(k, lengths):
+                for _, _, _, codes, counts in self._blocks(k):
                     rec = np.empty(len(codes), dtype=record)
-                    rec["b"] = codes & 0xFF
+                    np.bitwise_and(codes, 0xFF, out=rec["b"], casting="unsafe")
                     rec["c"] = counts
                     fh.write(rec)
 
