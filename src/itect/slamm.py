@@ -19,9 +19,9 @@ Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
 not fit in desk memory; the reference configuration is n = 3). The
 top-order table holds each count capped at the largest value of its
-type, and a sorted overflow holds the exact counts of the capped cells
-(:class:`NgramModel`), so a zoo with a few large trigram counts keeps
-one byte per cell.
+cells, and a sorted overflow holds the exact counts of the capped cells
+(:class:`NgramModel`), so a zoo whose trigram counts are mostly below
+15 keeps half a byte per cell.
 
 A model file (format version 3) is the header (magic ``SLMM``, then
 ``<HBH d d``: version, order, zoo id length, discount, unseen floor),
@@ -108,9 +108,9 @@ def _read_records(fh, model: "NgramModel"):
     holds the largest, as :meth:`NgramModel.save` writes them; anything
     else raises DataError. A lower order's table gets the unsigned type
     of its width, as training gives it. The top order's blocks are
-    stored as training stores a document's sums
-    (:meth:`NgramModel._store_top`), so the loaded top table and
-    overflow are the trained ones.
+    added as training adds a document's counts
+    (:meth:`NgramModel._add_top`), so the loaded top table and overflow
+    are the trained ones.
     """
     n = model.n
     for k in range(1, n + 1):
@@ -156,7 +156,7 @@ def _read_records(fh, model: "NgramModel"):
             if k < n:
                 table[codes] = counts
             else:
-                model._store_top(codes, counts)
+                model._add_top(codes, counts)
             yield k, c0, lens, codes, counts
         if np.min_scalar_type(top).itemsize != width:
             raise DataError(
@@ -168,8 +168,33 @@ def _read_records(fh, model: "NgramModel"):
 
 def _narrowest(counts: np.ndarray) -> np.ndarray:
     """``counts`` in the narrowest unsigned type of the largest (uint8
-    if there are none)."""
-    return counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+    if there are none), not copied if they are in it already."""
+    return counts.astype(np.min_scalar_type(int(counts.max(initial=0))), copy=False)
+
+
+def _merge_runs(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One run of the disjoint runs of ascending uint32 codes and their
+    counts: the codes ascending, the counts in the narrowest type of the
+    largest."""
+    if not runs:
+        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint8)
+    codes = np.concatenate([c for c, _ in runs])
+    counts = np.concatenate([n for _, n in runs])
+    if not np.all(codes[1:] > codes[:-1]):  # the runs interleave, as training's do
+        order = np.argsort(codes, kind="stable")
+        codes, counts = codes[order], counts[order]
+    return codes, _narrowest(counts)
+
+
+def _nibble_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a 4-bit top table holds the cells of ``codes``: byte
+    ``code >> 1``, as intp, which indexes without a conversion, and the
+    shift of nibble ``code & 1`` (0 or 4), as uint8, so a gathered uint8
+    byte shifted by it stays uint8."""
+    shift = codes.astype(np.uint8)
+    shift &= 1
+    shift <<= 2
+    return np.right_shift(codes, 1, dtype=np.intp), shift
 
 
 @dataclass(frozen=True)
@@ -223,26 +248,30 @@ class NgramModel:
     smooths only the top order per code.
 
     A lower-order table (65,536 cells at most) holds exact counts in the
-    narrowest unsigned type of its largest. The top-order table, of
-    type T, holds min(count, max(T)) per cell, and ``overflow`` holds
-    the ascending uint32 codes of the cells whose count is max(T) or
-    more and their exact counts, in the narrowest type of the largest.
-    T is the narrowest of uint8, uint16, uint32 and uint64 whose
-    overflow, a 4-byte code and a count per cell, takes fewer bytes
-    than the table's 256^n * sizeof(T), so
-    the layout depends only on the counts: a zoo with a few trigram
-    counts past 255 holds 16 MiB and a small overflow, one with many
-    holds the uint16 table. :meth:`top_counts` is the one reader of
-    exact top-order counts.
+    narrowest unsigned type of its largest. The top-order table holds
+    min(count, cap) per cell, and ``overflow`` holds the ascending
+    uint32 codes of the cells whose count is the cap or more and their
+    exact counts, in the narrowest type of the largest. The table's
+    rungs, narrowest first, are 4-bit cells (cap 15, two per byte: cell
+    ``code`` is nibble ``code & 1`` of byte ``code >> 1``, the low
+    nibble for an even code), then uint8, uint16, uint32 and uint64
+    (cap max(T)). The rung is the narrowest whose overflow, a 4-byte
+    code and a count per cell, takes fewer bytes than the table, so the
+    layout depends only on the counts: a trigram zoo whose counts are
+    mostly below 15 holds 8 MiB and an overflow, one with many larger
+    counts a wider table. :meth:`top_counts` is the one reader of exact
+    top-order counts; at finalize, the overflow gets a per-context index
+    that finds each count in O(1), if it is small (:meth:`_overflow_ranks`).
 
     Training sorts each document's codes of every order into runs and
     adds their counts into the order's table (:meth:`_add_runs`). Every
-    table starts as uint8: a lower order's is widened, document by
-    document, to the type of its largest count, and the top order's as
-    its overflow grows. The codes each document sees first are kept, so
-    finalize and save read the non-zero counts without scanning 256^k
-    cells. :meth:`load` fills the tables by the same rules, so a
-    trained zoo and its loaded copy hold the same types and overflow.
+    table starts at its narrowest: a lower order's is widened, document
+    by document, to the type of its largest count, and the top order's
+    as its overflow grows (:meth:`_add_top`). The codes each document
+    sees first are kept, so finalize and save read the non-zero counts
+    without scanning 256^k cells. :meth:`load` fills the tables by the
+    same rules, so a trained zoo and its loaded copy hold the same
+    types and overflow.
     """
 
     def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
@@ -255,8 +284,16 @@ class NgramModel:
         self.n = n
         self.smoothing = smoothing
         self.zoo_id = zoo_id
-        self.counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n + 1)]
-        self.overflow = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint8))
+        # Every table starts as uint8, the top order's in 4-bit cells.
+        self.counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n)]
+        self.counts.append(np.zeros(256**n // 2, dtype=np.uint8))
+        # The top order's overflow as sorted, disjoint runs of codes and
+        # counts, each run more than twice the size of the next
+        # (:meth:`_add_top`); :attr:`overflow` merges them into one.
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
+        # Where top_counts finds an overflow count, once _overflow_ranks
+        # has built it for the runs as they are.
+        self._ranks: tuple[np.ndarray, ...] | None = None
         self._finalized = False
         # Per order, the codes first seen by each added document, until
         # _nonzero_codes sorts them into one array.
@@ -280,72 +317,207 @@ class NgramModel:
         int64 ``counts``, into the order's table, and keep the keys it
         had no count for.
 
-        The exact old counts are added in int64. The top order stores
-        the sums by :meth:`_store_top`; a lower order's table is widened
-        to the narrowest unsigned type of the largest sum before they
-        are stored, so no count wraps.
+        The top order adds them by :meth:`_add_top`. A lower order adds
+        the exact old counts in int64 and widens its table to the
+        narrowest unsigned type of the largest sum before it stores
+        them, so no count wraps.
         """
-        old = self._exact_counts(k, keys)
-        self._first_seen[k - 1].append(keys[old == 0])
-        # Counts stay below 2^63, so casting a uint64 one to int64 is exact.
-        np.add(counts, old, out=counts, dtype=np.int64, casting="unsafe")
         if k == self.n:
-            self._store_top(keys, counts)
-            return
-        table = self.counts[k - 1]
-        dtype = np.promote_types(table.dtype, np.min_scalar_type(int(counts.max())))
-        if dtype != table.dtype:
-            table = self.counts[k - 1] = table.astype(dtype)
-        table[keys] = counts
+            old = self._add_top(keys, counts)
+        else:
+            table = self.counts[k - 1]
+            old = table[keys]
+            # Counts stay below 2^63, so casting a uint64 one to int64 is exact.
+            np.add(counts, old, out=counts, dtype=np.int64, casting="unsafe")
+            dtype = np.promote_types(table.dtype, np.min_scalar_type(int(counts.max())))
+            if dtype != table.dtype:
+                table = self.counts[k - 1] = table.astype(dtype)
+            table[keys] = counts
+        self._first_seen[k - 1].append(keys[old == 0])
 
-    def _store_top(self, codes: np.ndarray, counts: np.ndarray) -> None:
-        """Store exact top-order ``counts`` at ascending ``codes``, every
-        count below 2^63.
+    def _nibbles(self) -> bool:
+        """Whether the top table holds two 4-bit cells per byte."""
+        return self.counts[-1].size < 256**self.n
 
-        Each cell takes min(count, max(T)), and the cells at max(T) or
-        above are merged into the overflow, this call's counts replacing
-        those it held. While the overflow's bytes would reach the
-        table's, T widens one step and the cells below the new max(T)
-        leave the overflow for the table.
+    def _top_cap(self) -> int:
+        """The largest value a top-order cell holds: 15 in 4-bit cells,
+        else max(T)."""
+        return 15 if self._nibbles() else int(np.iinfo(self.counts[-1].dtype).max)
+
+    @property
+    def overflow(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending uint32 codes of the top-order cells at the cap
+        and their exact counts, in the narrowest type of the largest."""
+        return self._runs[0] if len(self._runs) == 1 else _merge_runs(self._runs)
+
+    def _add_top(self, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Add ``counts`` to the top-order counts at ascending ``codes``,
+        every sum below 2^63, and return the cells they had, 0 where a
+        code had no count.
+
+        Each cell takes min(sum, cap). A cell at the cap before the call
+        is one the overflow holds: its count is read from its run and
+        the sum set there in place, the run's counts widening if they
+        need to. The other sums at the cap form a new run, merged with
+        the runs before it while they are at most twice its size, so no
+        call copies the whole overflow unless it has about doubled since
+        it was last copied. While the overflow's bytes would reach the
+        table's, the table widens one step (:meth:`_widen_top`).
         """
+        self._ranks = None
+        cap = self._top_cap()
         table = self.counts[-1]
-        # A count past max(T) wraps here; its cell is set to max(T) below.
-        table[codes] = counts
-        full = counts >= np.iinfo(table.dtype).max
-        if not full.any():
-            return
-        old_codes, old_counts = self.overflow
-        # np.unique keeps each code's first occurrence: this call's count.
-        over_codes, first = np.unique(
-            np.concatenate([codes[full].astype(np.uint32), old_codes]), return_index=True
-        )
-        over_counts = _narrowest(
-            np.concatenate([counts[full], old_counts], dtype=np.int64, casting="unsafe")[first]
-        )
-        while len(over_codes) * (4 + over_counts.itemsize) >= table.nbytes:
-            table = self.counts[-1] = table.astype(f"u{2 * table.itemsize}")
-            left = over_counts < np.iinfo(table.dtype).max
-            table[over_codes[left]] = over_counts[left]
-            over_codes, over_counts = over_codes[~left], _narrowest(over_counts[~left])
-        table[over_codes] = np.iinfo(table.dtype).max
-        self.overflow = (over_codes, over_counts)
+        if self._nibbles():
+            byte, shift = _nibble_index(codes)
+            packed = table[byte]
+            had = packed >> shift
+            had &= 15
+            # min(count, 15) plus a cell of at most 15 fits in uint8. (A
+            # masked store is faster here than np.minimum with a scalar.)
+            cells = counts.astype(np.uint8)
+            cells[counts >= cap] = cap
+            cells += had
+            full = cells >= cap
+            cells[full] = cap
+            cells <<= shift
+            packed &= np.right_shift(0xF0, shift)  # the byte's other nibble
+            packed |= cells
+            # Codes are unique and ascending, so codes 2b and 2b+1 are
+            # neighbours: both write byte b, each with both nibbles.
+            pair = np.flatnonzero(byte[1:] == byte[:-1])
+            packed[pair] = packed[pair + 1] = cells[pair] | cells[pair + 1]
+            table[byte] = packed
+        else:
+            had = table[codes]
+            # Counts stay below 2^63, so casting a uint64 one to int64 is exact.
+            sums = np.add(had, counts, dtype=np.int64, casting="unsafe")
+            full = sums >= cap
+            # A sum past the cap wraps in its cell here; the cell is then
+            # set to the cap.
+            table[codes] = sums
+            table[codes[full]] = cap
+        # The codes at the cap after the call and their exact sums. Those
+        # held at the cap before it have their old counts in the runs.
+        over = np.flatnonzero(full)
+        over_codes = codes[over].astype(np.uint32, copy=False)
+        sums = np.add(had[over], counts[over], dtype=np.int64, casting="unsafe")
+        held = find = np.flatnonzero(had[over] == cap)
+        found = []  # (run, the held codes' positions in it and in over)
+        for i, (run_codes, run_counts) in enumerate(self._runs):
+            if not len(find):
+                break
+            pos = np.searchsorted(run_codes, over_codes[find])
+            hit = pos < len(run_codes)
+            hit[hit] = run_codes[pos[hit]] == over_codes[find[hit]]
+            if hit.any():
+                idx = find[hit]
+                sums[idx] = np.add(
+                    run_counts[pos[hit]], counts[over[idx]], dtype=np.int64, casting="unsafe"
+                )
+                found.append((i, pos[hit], idx))
+                find = find[~hit]
+        for i, pos, idx in found:
+            run_codes, run_counts = self._runs[i]
+            dtype = np.promote_types(run_counts.dtype, np.min_scalar_type(int(sums[idx].max())))
+            if dtype != run_counts.dtype:
+                run_counts = run_counts.astype(dtype)
+                self._runs[i] = (run_codes, run_counts)
+            run_counts[pos] = sums[idx]
+        fresh = np.ones(len(over), dtype=bool)
+        fresh[held] = False
+        if fresh.any():
+            self._runs.append((over_codes[fresh], _narrowest(sums[fresh])))
+            runs = self._runs
+            while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+                runs[-2:] = [_merge_runs(runs[-2:])]
+        while self._runs and (
+            sum(len(c) for c, _ in self._runs) * (4 + max(n.itemsize for _, n in self._runs))
+            >= self.counts[-1].nbytes
+        ):
+            self._widen_top()
+        return had
 
-    def top_counts(self, codes: np.ndarray) -> np.ndarray:
-        """The exact top-order counts at ``codes``: the table's, with
-        each cell at max(T) replaced by its overflow count."""
+    def _widen_top(self) -> None:
+        """Widen the top table one step, 4-bit cells to uint8 and uint8 on
+        to uint16, uint32 and uint64. The cells below the new cap leave
+        the overflow for the table."""
         table = self.counts[-1]
-        counts = table[codes]
-        over_codes, over_counts = self.overflow
-        if len(over_codes):
-            full = np.flatnonzero(counts == np.iinfo(table.dtype).max)
+        if self._nibbles():
+            wide = np.empty(2 * table.size, dtype=np.uint8)
+            np.bitwise_and(table, 15, out=wide[0::2])
+            np.right_shift(table, 4, out=wide[1::2])
+        else:
+            wide = table.astype(f"u{2 * table.itemsize}")
+        self.counts[-1] = wide
+        cap = self._top_cap()
+        codes, counts = self.overflow
+        left = counts < cap
+        wide[codes[left]] = counts[left]
+        codes = codes[~left]
+        wide[codes] = cap
+        self._runs = [(codes, _narrowest(counts[~left]))] if len(codes) else []
+
+    def top_counts(
+        self, codes: np.ndarray, index: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> np.ndarray:
+        """The exact top-order counts at ``codes``: the table's, with
+        each cell at the cap replaced by its overflow count. ``index``
+        holds ``_nibble_index(codes)`` if the caller has it."""
+        table = self.counts[-1]
+        if self._nibbles():
+            byte, shift = _nibble_index(codes) if index is None else index
+            counts = table[byte]
+            counts >>= shift
+            counts &= 15
+        else:
+            counts = table[codes]
+        if self._runs:
+            full = np.flatnonzero(counts == self._top_cap())
             if len(full):
-                counts = counts.astype(np.promote_types(table.dtype, over_counts.dtype))
-                counts[full] = over_counts[np.searchsorted(over_codes, codes[full])]
+                ranks = self._overflow_ranks()
+                over_codes, over_counts = self._runs[0]
+                counts = counts.astype(np.promote_types(counts.dtype, over_counts.dtype))
+                held = codes[full]
+                if ranks:
+                    row_of, starts, rank = ranks
+                    row = row_of[held >> 8].astype(np.intp)
+                    pos = starts[row]
+                    row <<= 8
+                    row |= held & 0xFF
+                    pos += rank[row]
+                else:
+                    # Searched as uint32, so the overflow is not converted.
+                    pos = np.searchsorted(over_codes, held.astype(np.uint32))
+                counts[full] = over_counts[pos]
         return counts
 
-    def _exact_counts(self, k: int, codes: np.ndarray) -> np.ndarray:
-        """The exact order-k counts at ``codes``."""
-        return self.top_counts(codes) if k == self.n else self.counts[k - 1][codes]
+    def _overflow_ranks(self) -> tuple[np.ndarray, ...]:
+        """Merge the overflow's runs into one and index it, once: for each
+        context (``code >> 8``) holding overflow cells, a row number
+        (``row_of``), the position of its first cell in the overflow
+        (``starts``) and a row of 256 uint8 ranks, each cell's among its
+        context's (``rank``, the rows end to end). A code the overflow
+        holds is at ``starts[row] + rank[row << 8 | code & 0xFF]``, found
+        in O(1). The rows may take an eighth of the table's bytes, 1 MiB
+        for 4-bit trigram cells; if they would take more, the index is
+        empty and :meth:`top_counts` searches the overflow instead."""
+        if self._ranks is None:
+            codes, counts = self.overflow
+            self._runs = [(codes, counts)] if len(codes) else []
+            ctx = codes >> 8
+            first = np.ones(len(codes), dtype=bool)
+            np.not_equal(ctx[1:], ctx[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            self._ranks = ()
+            if 0 < len(starts) << 8 <= self.counts[-1].nbytes // 8:
+                # At most 256^(n-1) <= 65,536 rows, so a uint16 numbers them.
+                row_of = np.zeros(256 ** (self.n - 1), dtype=np.uint16)
+                row_of[ctx[starts]] = np.arange(len(starts))
+                row = row_of[ctx].astype(np.intp)
+                rank = np.zeros(len(starts) << 8, dtype=np.uint8)
+                rank[row << 8 | codes & 0xFF] = np.arange(len(codes)) - starts[row]
+                self._ranks = (row_of, starts, rank)
+        return self._ranks
 
     def finalize(
         self,
@@ -400,6 +572,7 @@ class NgramModel:
             for t, c, s in zip(ctx_total, ctx_distinct, self._tk_safe)
         ]
         self._lower_q = self._lower_order_table()
+        self._overflow_ranks()  # built before any scoring thread reads it
         self._finalized = True
         return self
 
@@ -409,6 +582,12 @@ class NgramModel:
         first call, or for a model with no added documents a scan of the
         dense table."""
         seen = self._first_seen[k - 1]
+        if not seen and k == self.n and self._nibbles():
+            # Each non-zero byte holds one or two non-zero cells.
+            table = self.counts[-1]
+            byte = np.flatnonzero(table)
+            cells = np.stack([table[byte] & 15, table[byte] >> 4], axis=1)
+            return ((byte << 1)[:, None] + np.arange(2))[cells > 0]
         if not seen:
             return np.flatnonzero(self.counts[k - 1])
         if len(seen) > 1:
@@ -435,7 +614,9 @@ class NgramModel:
         nz = self._nonzero_codes(k)
         for c0, lens, r0, r1 in _context_blocks(self._context_lengths(k)):
             codes = nz[r0:r1]
-            yield k, c0, lens, codes, self._exact_counts(k, codes)
+            yield k, c0, lens, codes, (
+                self.top_counts(codes) if k == self.n else self.counts[k - 1][codes]
+            )
 
     def _records(self):
         """Every order's blocks, orders ascending."""
@@ -583,6 +764,9 @@ class NgramModel:
                 lengths = self._context_lengths(k)
                 largest = int(table.max())
                 if k == self.n:
+                    # The overflow holds every count at the cap or above. A
+                    # 4-bit table's bytes, like its cells, fit in one byte,
+                    # so the width is the overflow's if it holds any.
                     largest = max(largest, int(self.overflow[1].max(initial=0)))
                 width = np.min_scalar_type(largest).itemsize
                 fh.write(struct.pack("<QB", int(lengths.sum()), width))
@@ -683,12 +867,14 @@ class NgramHistogram:
         return np.where(hit, self.probs[pos], 0.0)
 
 
-def _top_counts(model: NgramModel, p: NgramHistogram) -> np.ndarray:
+def _top_counts(
+    model: NgramModel, p: NgramHistogram, index: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """The model's top-order counts at the suspect's distinct n-grams;
     a suspect of another order raises DataError."""
     if p.n != model.n:
         raise DataError(f"histogram order {p.n} does not match model order {model.n}")
-    return model.top_counts(p.keys)
+    return model.top_counts(p.keys, index)
 
 
 def cross_entropy(
@@ -797,9 +983,10 @@ def slamm_classify(
     if not malware_models:
         raise DataError("need at least one malware model")
     p_hist = NgramHistogram.from_data(data, benign.n)
+    index = _nibble_index(p_hist.keys)
 
     def scores(model: NgramModel) -> dict[str, float]:
-        top = _top_counts(model, p_hist)
+        top = _top_counts(model, p_hist, index)
         ce = cross_entropy(model, p_hist, top)  # before qv: fewer arrays live at once
         masses = model.histogram()
         qv = top / masses.total

@@ -17,59 +17,95 @@ def uniform_unigram_model():
     return slamm.NgramModel.train([bytes(range(256))], n=1)
 
 
+def top_cells(model):
+    """The top table's cells, one per code: in a 4-bit table, cell c is
+    nibble c & 1 of byte c >> 1, the low nibble for an even c."""
+    table = model.counts[model.n - 1]
+    if table.size == 256**model.n:
+        return table
+    cells = np.empty(2 * table.size, dtype=np.uint8)
+    cells[0::2] = table & 15
+    cells[1::2] = table >> 4
+    return cells
+
+
 def exact_counts(model, k):
-    """The dense exact order-k counts: the order's table, or for a top
-    table with an overflow, the table in the narrowest type of the
-    largest count with the overflow's counts in place."""
-    table = model.counts[k - 1]
+    """The dense exact order-k counts: the order's table, or for the top
+    order its cells with the overflow's counts in place, in the narrowest
+    type of the largest count."""
+    if k < model.n:
+        return model.counts[k - 1]
+    table = top_cells(model)
     codes, over = model.overflow
-    if k < model.n or not len(codes):
+    if not len(codes):
         return table
     exact = table.astype(np.promote_types(table.dtype, over.dtype))
     exact[codes] = over
     return exact
 
 
+# The top table's rungs, narrowest first: the largest value a cell holds,
+# the table's type and its cells per byte.
+RUNGS = [(15, np.dtype(np.uint8), 2)] + [
+    (np.iinfo(t).max, np.dtype(t), 1) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+]
+
+
 def top_layout(nz, exact, cells):
-    """The top table's type T, the overflow's codes and its counts that
-    the layout rule gives the non-zero exact counts ``exact`` at the
-    ascending codes ``nz`` of a table of ``cells`` cells: the narrowest
-    T whose overflow, the cells at max(T) or above as uint32 codes and
-    counts in the narrowest type of their largest, takes fewer bytes
-    than the table's cells * sizeof(T)."""
-    for dtype in map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)):
-        full = exact >= np.iinfo(dtype).max
+    """The top table's rung, ``(cap, dtype, per_byte)`` from ``RUNGS``,
+    the overflow's codes and its counts that the layout rule gives the
+    non-zero exact counts ``exact`` at the ascending codes ``nz`` of a
+    table of ``cells`` cells: the narrowest rung whose overflow, the
+    cells at the cap or above as uint32 codes and counts in the
+    narrowest type of their largest, takes fewer bytes than the table's
+    cells * sizeof(T) / per_byte."""
+    for rung in RUNGS:
+        cap, dtype, per_byte = rung
+        full = exact >= cap
         codes, counts = nz[full], exact[full]
         counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
-        if len(codes) * (4 + counts.itemsize) < cells * dtype.itemsize:
-            return dtype, codes.astype(np.uint32), counts
+        if len(codes) * (4 + counts.itemsize) < cells * dtype.itemsize // per_byte:
+            return rung, codes.astype(np.uint32), counts
     raise AssertionError("no type holds the counts")
 
 
 def assert_top_layout(model, exact=None):
     """The model's top table and overflow are the layout of the dense
     exact top-order counts ``exact``, by default its own: each non-zero
-    cell holds min(count, max(T)), and no other cell is non-zero."""
+    cell holds min(count, cap), and no other cell is non-zero."""
     if exact is None:
         exact = exact_counts(model, model.n)
     nz = np.flatnonzero(exact)
-    dtype, codes, counts = top_layout(nz, exact[nz], exact.size)
+    (cap, dtype, per_byte), codes, counts = top_layout(nz, exact[nz], exact.size)
     table = model.counts[model.n - 1]
     assert table.dtype == dtype
+    assert table.nbytes == exact.size * dtype.itemsize // per_byte
+    cells = top_cells(model)
     capped = exact[nz].astype(dtype)
-    capped[exact[nz] >= np.iinfo(dtype).max] = np.iinfo(dtype).max
-    np.testing.assert_array_equal(table[nz], capped)
-    assert np.count_nonzero(table) == len(nz)
+    capped[exact[nz] >= cap] = cap
+    np.testing.assert_array_equal(cells[nz], capped)
+    assert np.count_nonzero(cells) == len(nz)
     over_codes, over_counts = model.overflow
     np.testing.assert_array_equal(over_codes, codes)
     np.testing.assert_array_equal(over_counts, counts)
     assert over_codes.dtype == np.uint32
     assert over_counts.dtype == counts.dtype
+    return cap
 
 
 def count_of(model, gram):
-    """Raw count of a k-gram, k <= n."""
-    return int(exact_counts(model, len(gram))[int.from_bytes(gram, "big")])
+    """Raw count of a k-gram, k <= n, read from its one cell: the brute
+    force asks for grams one by one, too often to unpack a 4-bit table."""
+    k, code = len(gram), int.from_bytes(gram, "big")
+    table = model.counts[k - 1]
+    if k < model.n:
+        return int(table[code])
+    codes, over = model.overflow
+    if code in codes:
+        return int(over[np.searchsorted(codes, code)])
+    if table.size < 256**k:
+        return int(table[code >> 1]) >> 4 * (code & 1) & 15
+    return int(table[code])
 
 
 def sequence_logprob(model, data):
@@ -250,20 +286,21 @@ class TestTrainingOracle:
         assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
     def test_trigram_training_allocates_no_second_table(self, synth_files):
-        # The trigram table is 16 MiB while its counts fit in 8 bits;
-        # counting by sorted runs adds memory per document code, not a
-        # second array over all 256^3 cells.
-        self._check_training_peak(synth_files, 0, np.uint8)
+        # The trigram table is 8 MiB of 4-bit cells; counting by sorted
+        # runs adds memory per document code, not a second array over
+        # all 256^3 cells.
+        self._check_training_peak(synth_files, 0)
 
     def test_widened_trigram_training_allocates_no_second_table(self, synth_files):
         # A run of zeros makes one count 998: it goes to the overflow, and
-        # the table stays uint8, 16 MiB, with no second table beside it.
-        model = self._check_training_peak(synth_files, 1000, np.uint8)
+        # the table stays in 4-bit cells, 8 MiB, with no second table
+        # beside it.
+        model = self._check_training_peak(synth_files, 1000)
         assert model.overflow[0].tolist() == [0]
         assert model.overflow[1].tolist() == [998]
 
-    def _check_training_peak(self, synth_files, zeros, dtype):
-        table = 256**3 * np.dtype(dtype).itemsize
+    def _check_training_peak(self, synth_files, zeros):
+        table = 256**3 // 2
         docs = synth_files[0]["benign"] + [b"\0" * zeros]
         tracemalloc.start()
         try:
@@ -272,7 +309,7 @@ class TestTrainingOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert model.counts[2].dtype == dtype
+        assert model.counts[2].nbytes == table
         assert table <= peak < 2 * table
         return model
 
@@ -281,24 +318,25 @@ class TestTrainingOracle:
         # document must add to it in int64, not fail or round through float64.
         model = slamm.NgramModel(n=3, smoothing=slamm.SmoothingParams())
         model.add_document(b"\0" * 10)
-        model._store_top(np.array([0]), np.array([(1 << 53) + 1]))
+        model._add_top(np.array([0]), np.array([(1 << 53) + 1]))
         model.add_document(b"\0" * 10)
         model.finalize()
         assert model.overflow[1].dtype == np.uint64
         assert exact_counts(model, 3).dtype == np.uint64
-        assert count_of(model, b"\0\0\0") == (1 << 53) + 9
+        assert count_of(model, b"\0\0\0") == (1 << 53) + 17
         assert_top_layout(model)
 
     def test_table_widened_between_documents_saves_like_oracle(self, tmp_path):
-        # Each run of 200 zeros adds 198 to one trigram count, which only
-        # the later run lifts past 255: the cell enters the overflow while
-        # training, between documents, and its exact count needs uint16.
+        # Each run of 200 zeros adds 198 to one trigram count: the first
+        # run puts the cell in the overflow, and the later one lifts it
+        # past 255 while training, between documents, so the overflow's
+        # counts widen to uint16 in place.
         rng = np.random.default_rng(7)
         docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(4)]
         docs[1:1] = [b"\0" * 200]
         docs[4:4] = [b"\0" * 200]
         model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
-        assert model.counts[2].dtype == np.uint8
+        assert model.counts[2].nbytes == 256**3 // 2
         assert exact_counts(model, 3).dtype == np.uint16
         assert model.overflow[0].tolist() == [0]
         assert count_of(model, b"\0\0\0") >= 396
@@ -307,9 +345,10 @@ class TestTrainingOracle:
         assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
     def test_trigram_load_allocates_no_int32_table(self, synth_files, tmp_path):
-        # A zoo whose one count past 255 is 998 loads its trigram table as
-        # uint8, 16 MiB, and never allocates a 32 MiB uint16 one.
-        table = 256**3 * np.dtype(np.uint8).itemsize
+        # A zoo whose one count past 255 is 998 loads its trigram table in
+        # 4-bit cells, 8 MiB, and never allocates a 16 MiB uint8 or a
+        # 32 MiB uint16 one.
+        table = 256**3 // 2
         path = tmp_path / "zoo.slmm"
         slamm.NgramModel.train(synth_files[0]["benign"] + [b"\0" * 1000], n=3).save(path)
         tracemalloc.start()
@@ -319,16 +358,16 @@ class TestTrainingOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loaded.counts[2].dtype == np.uint8
+        assert loaded.counts[2].nbytes == table
         assert exact_counts(loaded, 3).dtype == np.uint16
         assert table <= peak < 2 * table
 
 
 class TestTopOverflow:
-    def test_one_large_count_keeps_a_uint8_table(self, tmp_path):
+    def test_one_large_count_keeps_a_4bit_table(self, tmp_path):
         # A run of 1,000 zeros makes one trigram count 998: the trained and
-        # the loaded table stay uint8, with that one cell in the overflow,
-        # and loading allocates less than the 32 MiB uint16 table.
+        # the loaded table stay in 4-bit cells, with that one cell in the
+        # overflow, and loading allocates less than the 16 MiB uint8 table.
         rng = np.random.default_rng(5)
         docs = [rng.integers(0, 256, 4000).astype(np.uint8).tobytes(), b"\0" * 1000]
         trained = slamm.NgramModel.train(docs, n=3)
@@ -341,9 +380,9 @@ class TestTopOverflow:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 256**3 * 2
+        assert peak < 256**3
         for model in (trained, loaded):
-            assert model.counts[2].dtype == np.uint8
+            assert model.counts[2].nbytes == 256**3 // 2
             codes, counts = model.overflow
             assert (codes.tolist(), counts.tolist()) == ([0], [998])
             assert (codes.dtype, counts.dtype) == (np.uint32, np.uint16)
@@ -352,7 +391,8 @@ class TestTopOverflow:
     @pytest.mark.parametrize(
         "distinct, big, dtype, overflow",
         [
-            # 42 counts of 300 need 42 * 6 = 252 bytes of overflow, under the
+            # Every case first leaves the 128-byte table of 4-bit cells. 42
+            # counts of 300 need 42 * 6 = 252 bytes of overflow, under the
             # 256-byte uint8 table; 43 need 258 and 64 need 384, so the
             # table widens to uint16 and the overflow empties.
             (42, 0, np.uint8, 42),
@@ -389,9 +429,143 @@ class TestTopOverflow:
         slamm.NgramModel.train(docs, n=3, zoo_id="z").save(path)
         loaded = slamm.NgramModel.load(path)
         assert len(loaded.overflow[0]) > 1
-        assert loaded.counts[2].dtype == np.uint8
+        assert loaded.counts[2].nbytes == 256**3 // 2
         loaded.save(tmp_path / "again.slmm")
         assert (tmp_path / "again.slmm").read_bytes() == path.read_bytes()
+
+    def test_counts_at_the_4bit_cap(self, tmp_path):
+        # Counts of 14, 15 and 16 over two documents: 14 stays in its cell;
+        # "b" reaches 15 in the second document and enters the overflow,
+        # and "c" goes from 15 to 16 there in place. Cell c is nibble
+        # c & 1 of byte c >> 1, the high one for an odd c such as "a".
+        docs = [b"a" * 14 + b"b" * 14 + b"c" * 15, b"bc"]
+        trained = slamm.NgramModel.train(docs, n=1, zoo_id="z")
+        path = tmp_path / "trained.slmm"
+        trained.save(path)
+        loaded = slamm.NgramModel.load(path)
+        codes = np.frombuffer(b"abc", dtype=np.uint8).astype(np.int64)
+        for model in (trained, loaded):
+            assert model.counts[0].nbytes == 128
+            assert model.counts[0][48:50].tolist() == [14 << 4, 15 | 15 << 4]
+            assert model.overflow[0].tolist() == [ord("b"), ord("c")]
+            assert model.overflow[1].tolist() == [15, 16]
+            assert model.top_counts(codes).tolist() == [14, 15, 16]
+            assert assert_top_layout(model) == 15
+        _bincount_oracle(docs, 1, trained.smoothing).save(tmp_path / "oracle.slmm")
+        assert path.read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
+
+    def test_widening_from_4bit_cells_to_uint8_and_uint16(self, tmp_path, monkeypatch):
+        # A bigram table has 65,536 cells: 4-bit cells take 32 KiB, so
+        # about 6,554 counts of 15 or more widen it to uint8 (64 KiB), and
+        # about 10,923 counts of 255 or more on to uint16. A document is
+        # every pair of an alphabet, repeated, which gives nearly every
+        # bigram over it about two counts per repeat. Blocks of 5 records
+        # make each loaded context a block of its own.
+        monkeypatch.setattr(slamm, "_BLOCK", 5)
+        widened = []
+        widen = slamm.NgramModel._widen_top
+
+        def spy(model):
+            widened.append(model._top_cap())
+            widen(model)
+
+        monkeypatch.setattr(slamm.NgramModel, "_widen_top", spy)
+
+        def pairs(alphabet, repeats):
+            return np.indices((alphabet, alphabet)).reshape(2, -1).T.astype(np.uint8).tobytes() * repeats
+
+        docs = [pairs(90, 1), pairs(90, 8), pairs(110, 130)]
+        model = slamm.NgramModel(n=2, smoothing=slamm.SmoothingParams(), zoo_id="z")
+        caps = []
+        for i, doc in enumerate(docs):
+            model.add_document(doc)
+            exact = sum(np.bincount(slamm.encode_ngrams(d, 2), minlength=256**2) for d in docs[: i + 1])
+            caps.append(assert_top_layout(model, exact))
+        assert caps == [15, 255, 65535]
+        assert widened == [15, 255]
+        path = tmp_path / "trained.slmm"
+        model.finalize().save(path)
+        widened.clear()
+        loaded = slamm.NgramModel.load(path)
+        assert widened == [15, 255]
+        assert assert_top_layout(loaded, exact) == 65535
+        _bincount_oracle(docs, 2, model.smoothing).save(tmp_path / "oracle.slmm")
+        assert path.read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
+
+    @pytest.mark.parametrize(
+        "capped, big, cap",
+        [
+            # Among unigram counts of 1 to 14, `capped` cells of about `big`:
+            # 10 * 5 bytes of overflow stay under the 128-byte 4-bit table;
+            # 40 * 5 reach it, and all fit uint8; 60 * 6 reach the 256-byte
+            # uint8 table; 80 * 8 the 512-byte uint16 one; and 90 * 12 the
+            # 1,024-byte uint32 one.
+            (10, 20, 15),
+            (40, 20, 255),
+            (60, 300, 65535),
+            (80, 70_000, (1 << 32) - 1),
+            (90, 1 << 33, (1 << 64) - 1),
+        ],
+    )
+    def test_top_counts_with_the_suspects_index_equal_without(self, capped, big, cap):
+        rng = np.random.default_rng(capped)
+        counts = rng.integers(1, 15, 256)
+        counts[rng.choice(256, capped, replace=False)] = big + rng.integers(0, 3, capped)
+        model = slamm.NgramModel(n=1, smoothing=slamm.SmoothingParams())
+        model._add_top(np.arange(256), counts)
+        assert assert_top_layout(model, counts) == cap
+        keys = np.unique(rng.integers(0, 256, 100))
+        got = model.top_counts(keys, slamm._nibble_index(keys))
+        want = model.top_counts(keys)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, counts[keys])
+        assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("n, alphabet, ranked", [(3, 4, True), (2, 40, False)])
+    def test_top_counts_with_and_without_rank_rows(self, n, alphabet, ranked):
+        # Every gram over a small alphabet counts 15 or more. Four bytes
+        # make 16 trigram contexts, whose rank rows fit an eighth of the
+        # 8 MiB table; 40 make 40 bigram contexts, more than the 16 rows
+        # an eighth of the 32 KiB table allows, so the overflow is
+        # searched instead. Either way the counts are exact.
+        rng = np.random.default_rng(n)
+        docs = [rng.integers(0, alphabet, 200_000).astype(np.uint8).tobytes()]
+        model = slamm.NgramModel.train(docs, n=n)
+        exact = exact_counts(_bincount_oracle(docs, n, model.smoothing), n)
+        assert np.count_nonzero(exact >= 15) == alphabet**n
+        assert bool(model._ranks) == ranked
+        codes = np.union1d(np.flatnonzero(exact), rng.integers(0, 256**n, 1000))
+        np.testing.assert_array_equal(model.top_counts(codes), exact[codes])
+
+    def test_overflow_runs_stay_sorted_disjoint_and_geometric(self):
+        # Each step lifts new cells to the cap and raises some already in
+        # the overflow, a few past 255: the new cells form a run, merged
+        # with the runs at most twice its size, and the others are set in
+        # place, their run's counts widened if they need it.
+        rng = np.random.default_rng(3)
+        model = slamm.NgramModel(n=2, smoothing=slamm.SmoothingParams())
+        exact = np.zeros(256**2, dtype=np.int64)
+        for step in range(14):
+            add = np.zeros_like(exact)
+            fresh = rng.choice(np.flatnonzero(exact == 0), int(rng.integers(1, 400)), replace=False)
+            add[fresh] = rng.integers(1, 40, len(fresh))
+            over = np.flatnonzero(exact >= 15)
+            raised = rng.choice(over, len(over) // 3, replace=False)
+            add[raised] = rng.integers(1, 30 * step + 2, len(raised))
+            codes = np.flatnonzero(add)
+            had = model._add_top(codes, add[codes])
+            np.testing.assert_array_equal(had, np.minimum(exact[codes], 15))
+            exact += add
+            assert assert_top_layout(model, exact) == 15
+            runs = model._runs
+            for (a, _), (b, _) in zip(runs, runs[1:]):
+                assert len(a) > 2 * len(b)
+            for c, n in runs:
+                assert np.all(c[1:] > c[:-1])
+                assert n.dtype == np.min_scalar_type(int(n.max()))
+            assert sum(len(c) for c, _ in runs) == len(np.unique(np.concatenate([c for c, _ in runs])))
+        assert len(model._runs) > 1
+        assert model.overflow[1].dtype == np.uint16
 
 
 class TestSmoothing:
@@ -861,7 +1035,7 @@ class TestLoadedTables:
         trained.save(path)
         loaded = slamm.NgramModel.load(path)
         if n == 3:
-            assert loaded.counts[2].dtype == np.uint8
+            assert loaded.counts[2].nbytes == 256**3 // 2
             assert exact_counts(loaded, 3).dtype == top_dtype
         assert len(trained.counts) == len(loaded.counts) == n
         for k in range(1, n + 1):
@@ -908,6 +1082,26 @@ class TestLoadedTables:
         assert h_loaded.sum_of_squares == pytest.approx(
             ((top[top != 0] / top.sum()) ** 2).sum(), rel=1e-15
         )
+
+
+class TestOneLayout:
+    def test_trained_and_loaded_zoos_hold_one_layout(self, tmp_path, synth_files):
+        # Each synth zoo, plus its first document twenty times so that
+        # thousands of trigram counts reach the cap, trains and loads into
+        # the same 4-bit table and overflow.
+        docs, _ = synth_files
+        for zoo, zoo_docs in docs.items():
+            trained = slamm.NgramModel.train(zoo_docs + [zoo_docs[0] * 20], n=3, zoo_id=zoo)
+            trained.save(tmp_path / f"{zoo}.slmm")
+            loaded = slamm.NgramModel.load(tmp_path / f"{zoo}.slmm")
+            assert assert_top_layout(trained) == assert_top_layout(loaded) == 15
+            assert len(trained.overflow[0]) > 1000
+            # Finalize indexes the overflow, so scoring threads only read.
+            assert trained._ranks is not None and loaded._ranks is not None
+            np.testing.assert_array_equal(trained.counts[2], loaded.counts[2])
+            for a, b in zip(trained.overflow, loaded.overflow):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
 
 
 @pytest.fixture(scope="module")
