@@ -18,11 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-# --threads is a command's one source of parallelism, so OpenBLAS starts
-# no thread pool of its own, unless the user's environment asks for one.
-# It reads the variable once, when NumPy is first imported.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
 
 from . import __version__, baselines, corpus, ents, forest as forest_mod, pipeline, slamm, synth

@@ -109,8 +109,9 @@ def _read_records(fh, model: "NgramModel"):
     else raises DataError. A lower order's table gets the unsigned type
     of its width, as training gives it. The top order's blocks are
     added as training adds a document's counts
-    (:meth:`NgramModel._add_top`), so the loaded top table and overflow
-    are the trained ones.
+    (:meth:`NgramModel._add_top`), and the overflow's pending runs are
+    merged after the last, so the loaded top table and overflow are the
+    trained ones.
     """
     n = model.n
     for k in range(1, n + 1):
@@ -158,6 +159,8 @@ def _read_records(fh, model: "NgramModel"):
             else:
                 model._add_top(codes, counts)
             yield k, c0, lens, codes, counts
+        if k == n:
+            model._merge_overflow()
         if np.min_scalar_type(top).itemsize != width:
             raise DataError(
                 f"order-{k} count width {width} is wider than its largest count needs"
@@ -168,22 +171,8 @@ def _read_records(fh, model: "NgramModel"):
 
 def _narrowest(counts: np.ndarray) -> np.ndarray:
     """``counts`` in the narrowest unsigned type of the largest (uint8
-    if there are none), not copied if they are in it already."""
-    return counts.astype(np.min_scalar_type(int(counts.max(initial=0))), copy=False)
-
-
-def _merge_runs(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """One run of the disjoint runs of ascending uint32 codes and their
-    counts: the codes ascending, the counts in the narrowest type of the
-    largest."""
-    if not runs:
-        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint8)
-    codes = np.concatenate([c for c, _ in runs])
-    counts = np.concatenate([n for _, n in runs])
-    if not np.all(codes[1:] > codes[:-1]):  # the runs interleave, as training's do
-        order = np.argsort(codes, kind="stable")
-        codes, counts = codes[order], counts[order]
-    return codes, _narrowest(counts)
+    if there are none)."""
+    return counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
 
 
 def _nibble_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +249,7 @@ class NgramModel:
     layout depends only on the counts: a trigram zoo whose counts are
     mostly below 15 holds 8 MiB and an overflow, one with many larger
     counts a wider table. :meth:`top_counts` is the one reader of exact
-    top-order counts; at finalize, the overflow gets a per-context index
-    that finds each count in O(1), if it is small (:meth:`_overflow_ranks`).
+    top-order counts.
 
     Training sorts each document's codes of every order into runs and
     adds their counts into the order's table (:meth:`_add_runs`). Every
@@ -287,13 +275,10 @@ class NgramModel:
         # Every table starts as uint8, the top order's in 4-bit cells.
         self.counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n)]
         self.counts.append(np.zeros(256**n // 2, dtype=np.uint8))
-        # The top order's overflow as sorted, disjoint runs of codes and
-        # counts, each run more than twice the size of the next
-        # (:meth:`_add_top`); :attr:`overflow` merges them into one.
-        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
-        # Where top_counts finds an overflow count, once _overflow_ranks
-        # has built it for the runs as they are.
-        self._ranks: tuple[np.ndarray, ...] | None = None
+        self.overflow = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint8))
+        # Runs of top-order codes at the cap and the parts of their counts
+        # that the overflow lacks, until :meth:`_merge_overflow` adds them.
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._finalized = False
         # Per order, the codes first seen by each added document, until
         # _nonzero_codes sorts them into one array.
@@ -344,27 +329,20 @@ class NgramModel:
         else max(T)."""
         return 15 if self._nibbles() else int(np.iinfo(self.counts[-1].dtype).max)
 
-    @property
-    def overflow(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending uint32 codes of the top-order cells at the cap
-        and their exact counts, in the narrowest type of the largest."""
-        return self._runs[0] if len(self._runs) == 1 else _merge_runs(self._runs)
-
     def _add_top(self, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Add ``counts`` to the top-order counts at ascending ``codes``,
         every sum below 2^63, and return the cells they had, 0 where a
         code had no count.
 
-        Each cell takes min(sum, cap). A cell at the cap before the call
-        is one the overflow holds: its count is read from its run and
-        the sum set there in place, the run's counts widening if they
-        need to. The other sums at the cap form a new run, merged with
-        the runs before it while they are at most twice its size, so no
-        call copies the whole overflow unless it has about doubled since
-        it was last copied. While the overflow's bytes would reach the
-        table's, the table widens one step (:meth:`_widen_top`).
+        Each cell takes min(sum, cap). The codes whose cell reaches the
+        cap form a pending run of what the overflow lacks of their
+        counts: the sum where the cell was below the cap, else only
+        ``counts``, since the overflow and the earlier runs hold the
+        rest. So neither training nor loading looks an overflow count
+        up. The runs are merged (:meth:`_merge_overflow`) once they hold
+        as many cells as the overflow, so each merge at least doubles
+        what it copies, and before finalize reads them.
         """
-        self._ranks = None
         cap = self._top_cap()
         table = self.counts[-1]
         if self._nibbles():
@@ -396,51 +374,45 @@ class NgramModel:
             # set to the cap.
             table[codes] = sums
             table[codes[full]] = cap
-        # The codes at the cap after the call and their exact sums. Those
-        # held at the cap before it have their old counts in the runs.
         over = np.flatnonzero(full)
-        over_codes = codes[over].astype(np.uint32, copy=False)
-        sums = np.add(had[over], counts[over], dtype=np.int64, casting="unsafe")
-        held = find = np.flatnonzero(had[over] == cap)
-        found = []  # (run, the held codes' positions in it and in over)
-        for i, (run_codes, run_counts) in enumerate(self._runs):
-            if not len(find):
-                break
-            pos = np.searchsorted(run_codes, over_codes[find])
-            hit = pos < len(run_codes)
-            hit[hit] = run_codes[pos[hit]] == over_codes[find[hit]]
-            if hit.any():
-                idx = find[hit]
-                sums[idx] = np.add(
-                    run_counts[pos[hit]], counts[over[idx]], dtype=np.int64, casting="unsafe"
-                )
-                found.append((i, pos[hit], idx))
-                find = find[~hit]
-        for i, pos, idx in found:
-            run_codes, run_counts = self._runs[i]
-            dtype = np.promote_types(run_counts.dtype, np.min_scalar_type(int(sums[idx].max())))
-            if dtype != run_counts.dtype:
-                run_counts = run_counts.astype(dtype)
-                self._runs[i] = (run_codes, run_counts)
-            run_counts[pos] = sums[idx]
-        fresh = np.ones(len(over), dtype=bool)
-        fresh[held] = False
-        if fresh.any():
-            self._runs.append((over_codes[fresh], _narrowest(sums[fresh])))
-            runs = self._runs
-            while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-                runs[-2:] = [_merge_runs(runs[-2:])]
-        while self._runs and (
-            sum(len(c) for c, _ in self._runs) * (4 + max(n.itemsize for _, n in self._runs))
-            >= self.counts[-1].nbytes
-        ):
-            self._widen_top()
+        if len(over):
+            part = np.add(
+                counts[over], np.where(had[over] == cap, 0, had[over]),
+                dtype=np.int64, casting="unsafe",
+            )
+            self._pending.append((codes[over].astype(np.uint32), _narrowest(part)))
+            if sum(len(c) for c, _ in self._pending) >= len(self.overflow[0]):
+                self._merge_overflow()
         return had
+
+    def _merge_overflow(self) -> None:
+        """Merge the pending runs into the overflow, each code's count
+        the sum of its parts, then widen the top table while the
+        overflow's bytes, a 4-byte code and a count per cell, would
+        reach the table's (:meth:`_widen_top`)."""
+        if self._pending:
+            runs = [self.overflow, *self._pending]
+            self._pending = []
+            codes = np.concatenate([c for c, _ in runs])
+            counts = np.concatenate([n for _, n in runs])
+            # Loaded blocks ascend and are disjoint, so their runs need no
+            # sort; training's runs share codes, whose parts are summed.
+            if not np.all(codes[1:] > codes[:-1]):
+                order = np.argsort(codes, kind="stable")
+                codes = codes[order]
+                first = np.ones(len(codes), dtype=bool)
+                np.not_equal(codes[1:], codes[:-1], out=first[1:])
+                starts = np.flatnonzero(first)
+                counts = np.add.reduceat(counts[order], starts, dtype=np.uint64)
+                codes = codes[starts]
+            self.overflow = (codes, _narrowest(counts))
+        while len(self.overflow[0]) * (4 + self.overflow[1].itemsize) >= self.counts[-1].nbytes:
+            self._widen_top()
 
     def _widen_top(self) -> None:
         """Widen the top table one step, 4-bit cells to uint8 and uint8 on
         to uint16, uint32 and uint64. The cells below the new cap leave
-        the overflow for the table."""
+        the overflow, which holds no pending run, for the table."""
         table = self.counts[-1]
         if self._nibbles():
             wide = np.empty(2 * table.size, dtype=np.uint8)
@@ -455,7 +427,7 @@ class NgramModel:
         wide[codes[left]] = counts[left]
         codes = codes[~left]
         wide[codes] = cap
-        self._runs = [(codes, _narrowest(counts[~left]))] if len(codes) else []
+        self.overflow = (codes, _narrowest(counts[~left]))
 
     def top_counts(
         self, codes: np.ndarray, index: tuple[np.ndarray, np.ndarray] | None = None
@@ -471,53 +443,15 @@ class NgramModel:
             counts &= 15
         else:
             counts = table[codes]
-        if self._runs:
+        over_codes, over_counts = self.overflow
+        if len(over_codes):
             full = np.flatnonzero(counts == self._top_cap())
             if len(full):
-                ranks = self._overflow_ranks()
-                over_codes, over_counts = self._runs[0]
                 counts = counts.astype(np.promote_types(counts.dtype, over_counts.dtype))
-                held = codes[full]
-                if ranks:
-                    row_of, starts, rank = ranks
-                    row = row_of[held >> 8].astype(np.intp)
-                    pos = starts[row]
-                    row <<= 8
-                    row |= held & 0xFF
-                    pos += rank[row]
-                else:
-                    # Searched as uint32, so the overflow is not converted.
-                    pos = np.searchsorted(over_codes, held.astype(np.uint32))
+                # Searched as uint32, so the overflow is not converted.
+                pos = np.searchsorted(over_codes, codes[full].astype(np.uint32))
                 counts[full] = over_counts[pos]
         return counts
-
-    def _overflow_ranks(self) -> tuple[np.ndarray, ...]:
-        """Merge the overflow's runs into one and index it, once: for each
-        context (``code >> 8``) holding overflow cells, a row number
-        (``row_of``), the position of its first cell in the overflow
-        (``starts``) and a row of 256 uint8 ranks, each cell's among its
-        context's (``rank``, the rows end to end). A code the overflow
-        holds is at ``starts[row] + rank[row << 8 | code & 0xFF]``, found
-        in O(1). The rows may take an eighth of the table's bytes, 1 MiB
-        for 4-bit trigram cells; if they would take more, the index is
-        empty and :meth:`top_counts` searches the overflow instead."""
-        if self._ranks is None:
-            codes, counts = self.overflow
-            self._runs = [(codes, counts)] if len(codes) else []
-            ctx = codes >> 8
-            first = np.ones(len(codes), dtype=bool)
-            np.not_equal(ctx[1:], ctx[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            self._ranks = ()
-            if 0 < len(starts) << 8 <= self.counts[-1].nbytes // 8:
-                # At most 256^(n-1) <= 65,536 rows, so a uint16 numbers them.
-                row_of = np.zeros(256 ** (self.n - 1), dtype=np.uint16)
-                row_of[ctx[starts]] = np.arange(len(starts))
-                row = row_of[ctx].astype(np.intp)
-                rank = np.zeros(len(starts) << 8, dtype=np.uint8)
-                rank[row << 8 | codes & 0xFF] = np.arange(len(codes)) - starts[row]
-                self._ranks = (row_of, starts, rank)
-        return self._ranks
 
     def finalize(
         self,
@@ -539,6 +473,7 @@ class NgramModel:
         ctx_total = [np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)]
         ctx_distinct = [np.zeros_like(t) for t in ctx_total]
         if records is None:
+            self._merge_overflow()
             records = self._records()
         for k, c0, lens, codes, counts in records:
             totals[k - 1] += int(counts.sum(dtype=np.int64))
@@ -572,7 +507,6 @@ class NgramModel:
             for t, c, s in zip(ctx_total, ctx_distinct, self._tk_safe)
         ]
         self._lower_q = self._lower_order_table()
-        self._overflow_ranks()  # built before any scoring thread reads it
         self._finalized = True
         return self
 

@@ -5,16 +5,13 @@ Each test covers one acceptance criterion and emits a single
 output capture so the lines survive into piped logs.
 """
 
-import contextlib
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
 from itect import baselines, corpus, ents, forest, pipeline, slamm, synth
-from itect.pool import SharedPool
 
 GOLDEN_SERIES = np.array([4, 5, 4, 1, 1, 2, 1, 2], dtype=float)
 GOLDEN_WAVELET = np.array([7, 2.8, 2, 0, -0.7, 2.1, -0.7, -0.7])
@@ -346,20 +343,14 @@ def test_criterion_6_scalability(scaling_files, capsys):
         assert t1600 <= 1.25 * 4 * t400
 
         spec = baselines.CompressorSpec(algorithm_id="zlib", level=1)
-        # The NCD rows run on the usable cores, as `itect baseline ncd
-        # --threads` runs them; on one core, serially.
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-        def ncd_time(n, map):
+        def ncd_time(n):
             subset = files[:n]
             t0 = time.perf_counter()
-            baselines.similarity_rows(subset, subset, spec, map=map)
+            baselines.similarity_rows(subset, subset, spec)
             return time.perf_counter() - t0
 
-        with contextlib.ExitStack() as stack:
-            pool = stack.enter_context(SharedPool(cores - 1)) if cores > 1 else None
-            ncd_map = pool.map if pool else map
-            n400, n800 = ncd_time(400, ncd_map), ncd_time(800, ncd_map)
+        n400, n800 = ncd_time(400), ncd_time(800)
         r.detail = (
             f"classify {t400:.2f}/{t800:.2f}/{t1600:.2f}s, "
             f"ncd {n400:.1f}/{n800:.1f}s"

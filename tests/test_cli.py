@@ -267,42 +267,6 @@ def trained(workspace):
     }
 
 
-class TestBlasThreads:
-    # The CLI asks OpenBLAS for one thread before NumPy starts it, so
-    # --threads stays the one source of parallelism; a value the user
-    # sets wins. The script reports what NumPy saw and, where /proc
-    # exists, how many threads the process runs after the import.
-    SCRIPT = (
-        "import os, pathlib, itect.cli\n"
-        "status = pathlib.Path('/proc/self/status')\n"
-        "threads = [l.split()[1] for l in status.read_text().splitlines()"
-        " if l.startswith('Threads:')] if status.exists() else ['?']\n"
-        "print(os.environ['OPENBLAS_NUM_THREADS'], threads[0])\n"
-    )
-
-    def _report(self, blas_threads):
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
-
-    def test_cli_starts_no_blas_thread_pool(self):
-        value, threads = self._report(None)
-        assert value == "1"
-        assert threads in ("1", "?")
-
-    def test_users_blas_threads_win(self):
-        value, _ = self._report("2")
-        assert value == "2"
-
-
 class TestPipelineCommands:
     def test_ents_writes_sidecar(self, trained):
         meta = json.loads(

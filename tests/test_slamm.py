@@ -329,8 +329,8 @@ class TestTrainingOracle:
     def test_table_widened_between_documents_saves_like_oracle(self, tmp_path):
         # Each run of 200 zeros adds 198 to one trigram count: the first
         # run puts the cell in the overflow, and the later one lifts it
-        # past 255 while training, between documents, so the overflow's
-        # counts widen to uint16 in place.
+        # past 255 while training, between documents, so its exact count
+        # needs uint16.
         rng = np.random.default_rng(7)
         docs = [rng.integers(0, 40, 3000).astype(np.uint8).tobytes() for _ in range(4)]
         docs[1:1] = [b"\0" * 200]
@@ -436,7 +436,7 @@ class TestTopOverflow:
     def test_counts_at_the_4bit_cap(self, tmp_path):
         # Counts of 14, 15 and 16 over two documents: 14 stays in its cell;
         # "b" reaches 15 in the second document and enters the overflow,
-        # and "c" goes from 15 to 16 there in place. Cell c is nibble
+        # and "c" goes from 15 to 16 there. Cell c is nibble
         # c & 1 of byte c >> 1, the high one for an odd c such as "a".
         docs = [b"a" * 14 + b"b" * 14 + b"c" * 15, b"bc"]
         trained = slamm.NgramModel.train(docs, n=1, zoo_id="z")
@@ -479,6 +479,7 @@ class TestTopOverflow:
         caps = []
         for i, doc in enumerate(docs):
             model.add_document(doc)
+            model._merge_overflow()  # as finalize does, so the overflow is whole
             exact = sum(np.bincount(slamm.encode_ngrams(d, 2), minlength=256**2) for d in docs[: i + 1])
             caps.append(assert_top_layout(model, exact))
         assert caps == [15, 255, 65535]
@@ -513,6 +514,7 @@ class TestTopOverflow:
         counts[rng.choice(256, capped, replace=False)] = big + rng.integers(0, 3, capped)
         model = slamm.NgramModel(n=1, smoothing=slamm.SmoothingParams())
         model._add_top(np.arange(256), counts)
+        model._merge_overflow()
         assert assert_top_layout(model, counts) == cap
         keys = np.unique(rng.integers(0, 256, 100))
         got = model.top_counts(keys, slamm._nibble_index(keys))
@@ -521,30 +523,41 @@ class TestTopOverflow:
         np.testing.assert_array_equal(got, counts[keys])
         assert got.dtype == want.dtype
 
-    @pytest.mark.parametrize("n, alphabet, ranked", [(3, 4, True), (2, 40, False)])
-    def test_top_counts_with_and_without_rank_rows(self, n, alphabet, ranked):
-        # Every gram over a small alphabet counts 15 or more. Four bytes
-        # make 16 trigram contexts, whose rank rows fit an eighth of the
-        # 8 MiB table; 40 make 40 bigram contexts, more than the 16 rows
-        # an eighth of the 32 KiB table allows, so the overflow is
-        # searched instead. Either way the counts are exact.
-        rng = np.random.default_rng(n)
-        docs = [rng.integers(0, alphabet, 200_000).astype(np.uint8).tobytes()]
-        model = slamm.NgramModel.train(docs, n=n)
-        exact = exact_counts(_bincount_oracle(docs, n, model.smoothing), n)
-        assert np.count_nonzero(exact >= 15) == alphabet**n
-        assert bool(model._ranks) == ranked
-        codes = np.union1d(np.flatnonzero(exact), rng.integers(0, 256**n, 1000))
-        np.testing.assert_array_equal(model.top_counts(codes), exact[codes])
+    def test_load_merges_the_overflow_in_doubling_steps(self, tmp_path, monkeypatch):
+        # Blocks of 5 records hold one context of four trigrams each, all
+        # at the cap. Loaded blocks are disjoint and ascend, so a merge
+        # concatenates, and the runs are merged only once they hold as
+        # many cells as the overflow: no block copies the whole overflow.
+        monkeypatch.setattr(slamm, "_BLOCK", 5)
+        rng = np.random.default_rng(9)
+        docs = [rng.integers(0, 4, 20_000).astype(np.uint8).tobytes()]
+        path = tmp_path / "trained.slmm"
+        trained = slamm.NgramModel.train(docs, n=3, zoo_id="z")
+        trained.save(path)
+        merged = []
+        merge = slamm.NgramModel._merge_overflow
 
-    def test_overflow_runs_stay_sorted_disjoint_and_geometric(self):
-        # Each step lifts new cells to the cap and raises some already in
-        # the overflow, a few past 255: the new cells form a run, merged
-        # with the runs at most twice its size, and the others are set in
-        # place, their run's counts widened if they need it.
+        def spy(model):
+            merged.append(sum(len(c) for c, _ in model._pending))
+            merge(model)
+
+        monkeypatch.setattr(slamm.NgramModel, "_merge_overflow", spy)
+        loaded = slamm.NgramModel.load(path)
+        assert merged == [4, 4, 8, 16, 32, 0]
+        for a, b in zip(trained.overflow, loaded.overflow):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+
+    def test_pending_runs_sum_to_the_exact_counts(self):
+        # Each step lifts new cells to the cap and raises some already at
+        # it, a few past 255. A cell's pending runs hold what the overflow
+        # lacks of its count, so no step looks a count up; they are
+        # merged once they hold as many cells as the overflow, and every
+        # other step merges them as finalize does.
         rng = np.random.default_rng(3)
         model = slamm.NgramModel(n=2, smoothing=slamm.SmoothingParams())
         exact = np.zeros(256**2, dtype=np.int64)
+        carried = 0
         for step in range(14):
             add = np.zeros_like(exact)
             fresh = rng.choice(np.flatnonzero(exact == 0), int(rng.integers(1, 400)), replace=False)
@@ -553,18 +566,16 @@ class TestTopOverflow:
             raised = rng.choice(over, len(over) // 3, replace=False)
             add[raised] = rng.integers(1, 30 * step + 2, len(raised))
             codes = np.flatnonzero(add)
+            carried += len(model._pending) > 0
             had = model._add_top(codes, add[codes])
             np.testing.assert_array_equal(had, np.minimum(exact[codes], 15))
             exact += add
-            assert assert_top_layout(model, exact) == 15
-            runs = model._runs
-            for (a, _), (b, _) in zip(runs, runs[1:]):
-                assert len(a) > 2 * len(b)
-            for c, n in runs:
-                assert np.all(c[1:] > c[:-1])
-                assert n.dtype == np.min_scalar_type(int(n.max()))
-            assert sum(len(c) for c, _ in runs) == len(np.unique(np.concatenate([c for c, _ in runs])))
-        assert len(model._runs) > 1
+            assert sum(len(c) for c, _ in model._pending) < max(len(model.overflow[0]), 1)
+            if step % 2:
+                model._merge_overflow()
+                assert model._pending == []
+                assert assert_top_layout(model, exact) == 15
+        assert carried > 0
         assert model.overflow[1].dtype == np.uint16
 
 
@@ -1096,8 +1107,9 @@ class TestOneLayout:
             loaded = slamm.NgramModel.load(tmp_path / f"{zoo}.slmm")
             assert assert_top_layout(trained) == assert_top_layout(loaded) == 15
             assert len(trained.overflow[0]) > 1000
-            # Finalize indexes the overflow, so scoring threads only read.
-            assert trained._ranks is not None and loaded._ranks is not None
+            # Every stored run is merged before finalize, so scoring
+            # threads read one sorted overflow.
+            assert trained._pending == loaded._pending == []
             np.testing.assert_array_equal(trained.counts[2], loaded.counts[2])
             for a, b in zip(trained.overflow, loaded.overflow):
                 np.testing.assert_array_equal(a, b)
