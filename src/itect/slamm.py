@@ -17,10 +17,10 @@ total and read its support size and sum of squares (:class:`ZooMasses`).
 
 Counts are kept as dense arrays indexed by the n-gram's big-endian
 integer code, which bounds the supported order at 3 (256^4 cells do
-not fit in desk memory; the reference configuration is n = 3). The
-top-order table holds each count capped at the largest value of its
+not fit in desk memory; the reference configuration is n = 3). Every
+order's table holds each count capped at the largest value of its
 cells, and a sorted overflow holds the exact counts of the capped cells
-(:class:`NgramModel`), so a zoo whose trigram counts are mostly below
+(:class:`_CountTable`), so a zoo whose trigram counts are mostly below
 15 keeps half a byte per cell.
 
 A model file (format version 3) is the header (magic ``SLMM``, then
@@ -106,15 +106,12 @@ def _read_records(fh, model: "NgramModel"):
     strictly increasing within a context, and counts non-zero, below
     2^63 (training sums them in int64) and in the narrowest width that
     holds the largest, as :meth:`NgramModel.save` writes them; anything
-    else raises DataError. A lower order's table gets the unsigned type
-    of its width, as training gives it. The top order's blocks are
-    added as training adds a document's counts
-    (:meth:`NgramModel._add_top`), and the overflow's pending runs are
-    merged after the last, so the loaded top table and overflow are the
-    trained ones.
+    else raises DataError. Each block is added into the order's table
+    as training adds a document's counts (:meth:`_CountTable.add`), and
+    the pending runs are merged after the order's last, so the loaded
+    tables are the trained ones.
     """
-    n = model.n
-    for k in range(1, n + 1):
+    for k, table in enumerate(model.tables, 1):
         count, width = struct.unpack(
             "<QB", _read_exact(fh, 9, f"order-{k} record count and width")
         )
@@ -132,8 +129,6 @@ def _read_records(fh, model: "NgramModel"):
                 f"order-{k} context lengths sum to {lengths.sum(dtype=np.int64)}, "
                 f"not the record count {count}"
             )
-        if k < n:
-            table = model.counts[k - 1] = np.zeros(256**k, dtype=f"u{width}")
         record = _record_dtype(width)
         top = 0
         for c0, lens, r0, r1 in _context_blocks(lengths):
@@ -154,36 +149,21 @@ def _read_records(fh, model: "NgramModel"):
                 raise DataError(f"order-{k} count overflows its counter")
             if counts.min() == 0:
                 raise DataError(f"order-{k} record has a zero count")
-            if k < n:
-                table[codes] = counts
-            else:
-                model._add_top(codes, counts)
+            table.add(codes, counts)
             yield k, c0, lens, codes, counts
-        if k == n:
-            model._merge_overflow()
+        table.merge()
         if np.min_scalar_type(top).itemsize != width:
             raise DataError(
                 f"order-{k} count width {width} is wider than its largest count needs"
             )
     if fh.read(1):
-        raise DataError(f"trailing bytes after the order-{n} records")
+        raise DataError(f"trailing bytes after the order-{model.n} records")
 
 
 def _narrowest(counts: np.ndarray) -> np.ndarray:
     """``counts`` in the narrowest unsigned type of the largest (uint8
     if there are none)."""
     return counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
-
-
-def _nibble_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where a 4-bit top table holds the cells of ``codes``: byte
-    ``code >> 1``, as intp, which indexes without a conversion, and the
-    shift of nibble ``code & 1`` (0 or 4), as uint8, so a gathered uint8
-    byte shifted by it stays uint8."""
-    shift = codes.astype(np.uint8)
-    shift &= 1
-    shift <<= 2
-    return np.right_shift(codes, 1, dtype=np.intp), shift
 
 
 @dataclass(frozen=True)
@@ -228,125 +208,69 @@ def _sorted_runs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes[starts], np.diff(starts, append=len(codes))
 
 
-class NgramModel:
-    """Smoothed conditional byte n-gram model of one zoo.
+class _CountTable:
+    """The counts of one order's ``size`` codes: each cell holds min(count,
+    cap), and ``overflow`` holds the ascending uint32 codes of the cells
+    at the cap and their exact counts, in the narrowest type of the
+    largest.
 
-    ``counts[k-1]`` is the dense count array for order k, indexed by
-    the k-gram's integer code. Immutable once finalized. Finalizing also
-    tabulates the smoothed q of order n-1 (256^(n-1) values), so scoring
-    smooths only the top order per code.
-
-    A lower-order table (65,536 cells at most) holds exact counts in the
-    narrowest unsigned type of its largest. The top-order table holds
-    min(count, cap) per cell, and ``overflow`` holds the ascending
-    uint32 codes of the cells whose count is the cap or more and their
-    exact counts, in the narrowest type of the largest. The table's
-    rungs, narrowest first, are 4-bit cells (cap 15, two per byte: cell
-    ``code`` is nibble ``code & 1`` of byte ``code >> 1``, the low
-    nibble for an even code), then uint8, uint16, uint32 and uint64
-    (cap max(T)). The rung is the narrowest whose overflow, a 4-byte
-    code and a count per cell, takes fewer bytes than the table, so the
-    layout depends only on the counts: a trigram zoo whose counts are
-    mostly below 15 holds 8 MiB and an overflow, one with many larger
-    counts a wider table. :meth:`top_counts` is the one reader of exact
-    top-order counts.
-
-    Training sorts each document's codes of every order into runs and
-    adds their counts into the order's table (:meth:`_add_runs`). Every
-    table starts at its narrowest: a lower order's is widened, document
-    by document, to the type of its largest count, and the top order's
-    as its overflow grows (:meth:`_add_top`). The codes each document
-    sees first are kept, so finalize and save read the non-zero counts
-    without scanning 256^k cells. :meth:`load` fills the tables by the
-    same rules, so a trained zoo and its loaded copy hold the same
-    types and overflow.
+    The rungs, narrowest first, are 4-bit cells (cap 15, two per byte:
+    cell ``code`` is nibble ``code & 1`` of byte ``code >> 1``, the low
+    nibble for an even code), then uint8, uint16, uint32 and uint64 (cap
+    max(T)). A table starts in 4-bit cells and widens one rung while its
+    overflow, a 4-byte code and a count per cell, would take as many
+    bytes as its cells, so the layout depends only on the counts: a
+    trigram zoo whose counts are mostly below 15 holds 8 MiB and an
+    overflow, one with many larger counts a wider table.
     """
 
-    def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n > MAX_DENSE_ORDER:
-            raise ValueError(
-                f"order {n} exceeds the dense-counter limit (n <= {MAX_DENSE_ORDER})"
-            )
-        self.n = n
-        self.smoothing = smoothing
-        self.zoo_id = zoo_id
-        # Every table starts as uint8, the top order's in 4-bit cells.
-        self.counts = [np.zeros(256**k, dtype=np.uint8) for k in range(1, n)]
-        self.counts.append(np.zeros(256**n // 2, dtype=np.uint8))
+    def __init__(self, size: int):
+        self.size = size
+        self.cells = np.zeros(size // 2, dtype=np.uint8)
         self.overflow = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint8))
-        # Runs of top-order codes at the cap and the parts of their counts
-        # that the overflow lacks, until :meth:`_merge_overflow` adds them.
+        # Runs of codes at the cap and the parts of their counts that the
+        # overflow lacks, until :meth:`merge` adds them.
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._finalized = False
-        # Per order, the codes first seen by each added document, until
-        # _nonzero_codes sorts them into one array.
-        self._first_seen: list[list[np.ndarray]] = [[] for _ in range(n)]
-        # Per order, the context lengths of the non-zero counts, once
-        # _context_lengths has found them.
-        self._lengths: dict[int, np.ndarray] = {}
-
-    # -- training ----------------------------------------------------
-
-    def add_document(self, data: bytes) -> None:
-        if self._finalized:
-            raise RuntimeError("model is immutable after finalize()")
-        if len(data) < self.n:
-            raise DataError("document shorter than n")
-        for k in range(1, self.n + 1):
-            self._add_runs(k, *_sorted_runs(encode_ngrams(data, k, np.int32)))
-
-    def _add_runs(self, k: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add one document's order-k runs, ascending ``keys`` and their
-        int64 ``counts``, into the order's table, and keep the keys it
-        had no count for.
-
-        The top order adds them by :meth:`_add_top`. A lower order adds
-        the exact old counts in int64 and widens its table to the
-        narrowest unsigned type of the largest sum before it stores
-        them, so no count wraps.
-        """
-        if k == self.n:
-            old = self._add_top(keys, counts)
-        else:
-            table = self.counts[k - 1]
-            old = table[keys]
-            # Counts stay below 2^63, so casting a uint64 one to int64 is exact.
-            np.add(counts, old, out=counts, dtype=np.int64, casting="unsafe")
-            dtype = np.promote_types(table.dtype, np.min_scalar_type(int(counts.max())))
-            if dtype != table.dtype:
-                table = self.counts[k - 1] = table.astype(dtype)
-            table[keys] = counts
-        self._first_seen[k - 1].append(keys[old == 0])
 
     def _nibbles(self) -> bool:
-        """Whether the top table holds two 4-bit cells per byte."""
-        return self.counts[-1].size < 256**self.n
+        """Whether the table holds two 4-bit cells per byte."""
+        return self.cells.size < self.size
 
-    def _top_cap(self) -> int:
-        """The largest value a top-order cell holds: 15 in 4-bit cells,
-        else max(T)."""
-        return 15 if self._nibbles() else int(np.iinfo(self.counts[-1].dtype).max)
+    @staticmethod
+    def _nibble_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where 4-bit cells of ``codes`` are: byte ``code >> 1``, as intp,
+        which indexes without a conversion, and the shift of nibble
+        ``code & 1`` (0 or 4), as uint8, so a gathered uint8 byte shifted
+        by it stays uint8."""
+        shift = codes.astype(np.uint8)
+        shift &= 1
+        shift <<= 2
+        return np.right_shift(codes, 1, dtype=np.intp), shift
 
-    def _add_top(self, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Add ``counts`` to the top-order counts at ascending ``codes``,
-        every sum below 2^63, and return the cells they had, 0 where a
-        code had no count.
+    @property
+    def cap(self) -> int:
+        """The largest value a cell holds, which names the table's rung:
+        15 in 4-bit cells, else max(T)."""
+        return 15 if self._nibbles() else int(np.iinfo(self.cells.dtype).max)
+
+    def add(self, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Add ``counts`` to the counts at ascending ``codes``, every sum
+        below 2^63, and return the cells they had, 0 where a code had no
+        count.
 
         Each cell takes min(sum, cap). The codes whose cell reaches the
         cap form a pending run of what the overflow lacks of their
         counts: the sum where the cell was below the cap, else only
         ``counts``, since the overflow and the earlier runs hold the
         rest. So neither training nor loading looks an overflow count
-        up. The runs are merged (:meth:`_merge_overflow`) once they hold
-        as many cells as the overflow, so each merge at least doubles
-        what it copies, and before finalize reads them.
+        up. The runs are merged (:meth:`merge`) once they hold as many
+        cells as the overflow, so each merge at least doubles what it
+        copies, and before the exact counts are read.
         """
-        cap = self._top_cap()
-        table = self.counts[-1]
+        cap = self.cap
+        table = self.cells
         if self._nibbles():
-            byte, shift = _nibble_index(codes)
+            byte, shift = self._nibble_index(codes)
             packed = table[byte]
             had = packed >> shift
             had &= 15
@@ -382,14 +306,14 @@ class NgramModel:
             )
             self._pending.append((codes[over].astype(np.uint32), _narrowest(part)))
             if sum(len(c) for c, _ in self._pending) >= len(self.overflow[0]):
-                self._merge_overflow()
+                self.merge()
         return had
 
-    def _merge_overflow(self) -> None:
-        """Merge the pending runs into the overflow, each code's count
-        the sum of its parts, then widen the top table while the
-        overflow's bytes, a 4-byte code and a count per cell, would
-        reach the table's (:meth:`_widen_top`)."""
+    def merge(self) -> None:
+        """Merge the pending runs into the overflow, each code's count the
+        sum of its parts, then widen the table while the overflow's
+        bytes, a 4-byte code and a count per cell, would reach the
+        table's (:meth:`widen`)."""
         if self._pending:
             runs = [self.overflow, *self._pending]
             self._pending = []
@@ -406,22 +330,22 @@ class NgramModel:
                 counts = np.add.reduceat(counts[order], starts, dtype=np.uint64)
                 codes = codes[starts]
             self.overflow = (codes, _narrowest(counts))
-        while len(self.overflow[0]) * (4 + self.overflow[1].itemsize) >= self.counts[-1].nbytes:
-            self._widen_top()
+        while len(self.overflow[0]) * (4 + self.overflow[1].itemsize) >= self.cells.nbytes:
+            self.widen()
 
-    def _widen_top(self) -> None:
-        """Widen the top table one step, 4-bit cells to uint8 and uint8 on
-        to uint16, uint32 and uint64. The cells below the new cap leave
-        the overflow, which holds no pending run, for the table."""
-        table = self.counts[-1]
+    def widen(self) -> None:
+        """Widen the table one rung, 4-bit cells to uint8 and uint8 on to
+        uint16, uint32 and uint64. The cells below the new cap leave the
+        overflow, which holds no pending run, for the table."""
+        table = self.cells
         if self._nibbles():
             wide = np.empty(2 * table.size, dtype=np.uint8)
             np.bitwise_and(table, 15, out=wide[0::2])
             np.right_shift(table, 4, out=wide[1::2])
         else:
             wide = table.astype(f"u{2 * table.itemsize}")
-        self.counts[-1] = wide
-        cap = self._top_cap()
+        self.cells = wide
+        cap = self.cap
         codes, counts = self.overflow
         left = counts < cap
         wide[codes[left]] = counts[left]
@@ -429,29 +353,100 @@ class NgramModel:
         wide[codes] = cap
         self.overflow = (codes, _narrowest(counts[~left]))
 
-    def top_counts(
-        self, codes: np.ndarray, index: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> np.ndarray:
-        """The exact top-order counts at ``codes``: the table's, with
-        each cell at the cap replaced by its overflow count. ``index``
-        holds ``_nibble_index(codes)`` if the caller has it."""
-        table = self.counts[-1]
+    def gather(self, codes: np.ndarray) -> np.ndarray:
+        """The exact counts at ``codes``: the cells', each at the cap
+        replaced by its overflow count. Pending runs must be merged."""
         if self._nibbles():
-            byte, shift = _nibble_index(codes) if index is None else index
-            counts = table[byte]
+            byte, shift = self._nibble_index(codes)
+            counts = self.cells[byte]
             counts >>= shift
             counts &= 15
         else:
-            counts = table[codes]
+            counts = self.cells[codes]
         over_codes, over_counts = self.overflow
         if len(over_codes):
-            full = np.flatnonzero(counts == self._top_cap())
+            full = np.flatnonzero(counts == self.cap)
             if len(full):
                 counts = counts.astype(np.promote_types(counts.dtype, over_counts.dtype))
                 # Searched as uint32, so the overflow is not converted.
                 pos = np.searchsorted(over_codes, codes[full].astype(np.uint32))
                 counts[full] = over_counts[pos]
         return counts
+
+    def nonzero(self) -> np.ndarray:
+        """Ascending codes of the non-zero counts, by a scan of the cells."""
+        table = self.cells
+        if not self._nibbles():
+            return np.flatnonzero(table)
+        # Each non-zero byte holds one or two non-zero cells.
+        byte = np.flatnonzero(table)
+        cells = np.stack([table[byte] & 15, table[byte] >> 4], axis=1)
+        return ((byte << 1)[:, None] + np.arange(2))[cells > 0]
+
+    def width(self) -> int:
+        """Bytes of the narrowest unsigned type that holds the largest
+        exact count: the overflow's largest if it holds any, since no cell
+        exceeds the cap, else the largest cell's. A 4-bit table's bytes,
+        like its cells, fit in one byte."""
+        codes, counts = self.overflow
+        largest = counts.max() if len(codes) else self.cells.max()
+        return np.min_scalar_type(int(largest)).itemsize
+
+
+class NgramModel:
+    """Smoothed conditional byte n-gram model of one zoo.
+
+    ``tables[k-1]`` holds the order-k counts, indexed by the k-gram's
+    integer code, as a :class:`_CountTable`: capped cells and a sorted
+    overflow of the exact counts at the cap, by one rule for every
+    order. Immutable once finalized. Finalizing also tabulates the
+    smoothed q of order n-1 (256^(n-1) values) from the exact counts of
+    the orders below, so scoring smooths only the top order per code,
+    which :meth:`top_counts` gathers.
+
+    Training sorts each document's codes of every order into runs and
+    adds their counts into the order's table, which widens as its
+    overflow grows. The codes each document sees first are kept, so
+    finalize and save read the non-zero counts without scanning 256^k
+    cells. :meth:`load` adds each order's blocks into its table the same
+    way, so a trained zoo and its loaded copy hold the same tables.
+    """
+
+    def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n > MAX_DENSE_ORDER:
+            raise ValueError(
+                f"order {n} exceeds the dense-counter limit (n <= {MAX_DENSE_ORDER})"
+            )
+        self.n = n
+        self.smoothing = smoothing
+        self.zoo_id = zoo_id
+        self.tables = [_CountTable(256**k) for k in range(1, n + 1)]
+        self._finalized = False
+        # Per order, the codes first seen by each added document, until
+        # _nonzero_codes sorts them into one array.
+        self._first_seen: list[list[np.ndarray]] = [[] for _ in range(n)]
+        # Per order, the context lengths of the non-zero counts, once
+        # _context_lengths has found them.
+        self._lengths: dict[int, np.ndarray] = {}
+
+    # -- training ----------------------------------------------------
+
+    def add_document(self, data: bytes) -> None:
+        """Add the counts of every order's codes in ``data``, sorted into
+        runs, and keep the codes each order had no count for."""
+        if self._finalized:
+            raise RuntimeError("model is immutable after finalize()")
+        if len(data) < self.n:
+            raise DataError("document shorter than n")
+        for k, table in enumerate(self.tables, 1):
+            keys, counts = _sorted_runs(encode_ngrams(data, k, np.int32))
+            self._first_seen[k - 1].append(keys[table.add(keys, counts) == 0])
+
+    def top_counts(self, codes: np.ndarray) -> np.ndarray:
+        """The exact top-order counts at ``codes``."""
+        return self.tables[-1].gather(codes)
 
     def finalize(
         self,
@@ -473,7 +468,8 @@ class NgramModel:
         ctx_total = [np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)]
         ctx_distinct = [np.zeros_like(t) for t in ctx_total]
         if records is None:
-            self._merge_overflow()
+            for table in self.tables:
+                table.merge()
             records = self._records()
         for k, c0, lens, codes, counts in records:
             totals[k - 1] += int(counts.sum(dtype=np.int64))
@@ -514,16 +510,10 @@ class NgramModel:
         """Ascending codes of the non-zero order-k counts: the first-seen
         codes kept by training, sorted in place into one array on the
         first call, or for a model with no added documents a scan of the
-        dense table."""
+        order's table."""
         seen = self._first_seen[k - 1]
-        if not seen and k == self.n and self._nibbles():
-            # Each non-zero byte holds one or two non-zero cells.
-            table = self.counts[-1]
-            byte = np.flatnonzero(table)
-            cells = np.stack([table[byte] & 15, table[byte] >> 4], axis=1)
-            return ((byte << 1)[:, None] + np.arange(2))[cells > 0]
         if not seen:
-            return np.flatnonzero(self.counts[k - 1])
+            return self.tables[k - 1].nonzero()
         if len(seen) > 1:
             codes = np.concatenate(seen)
             seen[:] = [codes]
@@ -548,9 +538,7 @@ class NgramModel:
         nz = self._nonzero_codes(k)
         for c0, lens, r0, r1 in _context_blocks(self._context_lengths(k)):
             codes = nz[r0:r1]
-            yield k, c0, lens, codes, (
-                self.top_counts(codes) if k == self.n else self.counts[k - 1][codes]
-            )
+            yield k, c0, lens, codes, self.tables[k - 1].gather(codes)
 
     def _records(self):
         """Every order's blocks, orders ascending."""
@@ -561,17 +549,19 @@ class NgramModel:
         """Smoothed q at every code of order n-1, the top order's back-off.
 
         For n = 1 it is the uniform 1/256 the unigram backs off to. The
-        order-2 table is built over the (256, 256) context x byte view of
-        its counts, with the unigram q broadcast over contexts; the
-        context grid is full, as the step works in place. n <= 3, so no
-        higher order is ever needed here.
+        orders below the top are read once, as exact counts gathered at
+        all their 256 or 65,536 codes. The order-2 table is built over the
+        (256, 256) context x byte view of its counts, with the unigram q
+        broadcast over contexts; the context grid is full, as the step
+        works in place. n <= 3, so no higher order is ever needed here.
         """
         q = np.full(1, 1.0 / 256.0)
         if self.n >= 2:
-            q = self._discount_step(1, self.counts[0], 0, q)
+            q = self._discount_step(1, self.tables[0].gather(np.arange(256)), 0, q)
         if self.n == 3:
             ctx = np.arange(256)[:, None].repeat(256, axis=1)
-            q = self._discount_step(2, self.counts[1].reshape(256, 256), ctx, q).ravel()
+            bigrams = self.tables[1].gather(np.arange(256**2)).reshape(256, 256)
+            q = self._discount_step(2, bigrams, ctx, q).ravel()
         return q
 
     @property
@@ -622,8 +612,8 @@ class NgramModel:
         builds in place; ``counts`` and ``lower`` broadcast to it.
         """
         d = self.smoothing.discount
-        # float64 whatever the counts' integer type: legacy NumPy promotion
-        # would compute a uint8 or uint16 array minus d in float16/float32.
+        # float64 whatever the counts' integer type and the discount's
+        # scalar type: a NumPy float32 discount would otherwise give float32.
         q = np.subtract(counts, d, dtype=np.float64)
         np.maximum(q, 0.0, out=q)
         if k == 1:
@@ -675,9 +665,8 @@ class NgramModel:
         """Write the model in format version 3 (see the module docstring).
 
         Each order is written in the narrowest unsigned width of its
-        largest exact count, the top order's largest being its
-        overflow's if that holds any: its context lengths, then its
-        records in the blocks of whole contexts that finalize tallies.
+        largest exact count: its context lengths, then its records in the
+        blocks of whole contexts that finalize tallies.
         """
         self._require_finalized()
         zoo = self.zoo_id.encode("utf-8")
@@ -694,15 +683,9 @@ class NgramModel:
                 )
             )
             fh.write(zoo)
-            for k, table in enumerate(self.counts, 1):
+            for k, table in enumerate(self.tables, 1):
                 lengths = self._context_lengths(k)
-                largest = int(table.max())
-                if k == self.n:
-                    # The overflow holds every count at the cap or above. A
-                    # 4-bit table's bytes, like its cells, fit in one byte,
-                    # so the width is the overflow's if it holds any.
-                    largest = max(largest, int(self.overflow[1].max(initial=0)))
-                width = np.min_scalar_type(largest).itemsize
+                width = table.width()
                 fh.write(struct.pack("<QB", int(lengths.sum()), width))
                 fh.write(lengths.astype("<u2").tobytes())
                 record = _record_dtype(width)
@@ -801,14 +784,12 @@ class NgramHistogram:
         return np.where(hit, self.probs[pos], 0.0)
 
 
-def _top_counts(
-    model: NgramModel, p: NgramHistogram, index: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def _top_counts(model: NgramModel, p: NgramHistogram) -> np.ndarray:
     """The model's top-order counts at the suspect's distinct n-grams;
     a suspect of another order raises DataError."""
     if p.n != model.n:
         raise DataError(f"histogram order {p.n} does not match model order {model.n}")
-    return model.top_counts(p.keys, index)
+    return model.top_counts(p.keys)
 
 
 def cross_entropy(
@@ -917,10 +898,9 @@ def slamm_classify(
     if not malware_models:
         raise DataError("need at least one malware model")
     p_hist = NgramHistogram.from_data(data, benign.n)
-    index = _nibble_index(p_hist.keys)
 
     def scores(model: NgramModel) -> dict[str, float]:
-        top = _top_counts(model, p_hist, index)
+        top = _top_counts(model, p_hist)
         ce = cross_entropy(model, p_hist, top)  # before qv: fewer arrays live at once
         masses = model.histogram()
         qv = top / masses.total

@@ -17,75 +17,70 @@ def uniform_unigram_model():
     return slamm.NgramModel.train([bytes(range(256))], n=1)
 
 
-def top_cells(model):
-    """The top table's cells, one per code: in a 4-bit table, cell c is
+def table_cells(table):
+    """A count table's cells, one per code: in 4-bit cells, cell c is
     nibble c & 1 of byte c >> 1, the low nibble for an even c."""
-    table = model.counts[model.n - 1]
-    if table.size == 256**model.n:
-        return table
-    cells = np.empty(2 * table.size, dtype=np.uint8)
-    cells[0::2] = table & 15
-    cells[1::2] = table >> 4
+    if table.cells.size == table.size:
+        return table.cells
+    cells = np.empty(2 * table.cells.size, dtype=np.uint8)
+    cells[0::2] = table.cells & 15
+    cells[1::2] = table.cells >> 4
     return cells
 
 
-def exact_counts(model, k):
-    """The dense exact order-k counts: the order's table, or for the top
-    order its cells with the overflow's counts in place, in the narrowest
-    type of the largest count."""
-    if k < model.n:
-        return model.counts[k - 1]
-    table = top_cells(model)
-    codes, over = model.overflow
+def exact_counts(table):
+    """A count table's dense exact counts: its cells with the overflow's
+    counts in place, in the narrowest type that holds both."""
+    cells = table_cells(table)
+    codes, over = table.overflow
     if not len(codes):
-        return table
-    exact = table.astype(np.promote_types(table.dtype, over.dtype))
+        return cells
+    exact = cells.astype(np.promote_types(cells.dtype, over.dtype))
     exact[codes] = over
     return exact
 
 
-# The top table's rungs, narrowest first: the largest value a cell holds,
-# the table's type and its cells per byte.
+# A count table's rungs, narrowest first: the largest value a cell holds,
+# the cells' type and cells per byte.
 RUNGS = [(15, np.dtype(np.uint8), 2)] + [
     (np.iinfo(t).max, np.dtype(t), 1) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
 ]
 
 
-def top_layout(nz, exact, cells):
-    """The top table's rung, ``(cap, dtype, per_byte)`` from ``RUNGS``,
-    the overflow's codes and its counts that the layout rule gives the
-    non-zero exact counts ``exact`` at the ascending codes ``nz`` of a
-    table of ``cells`` cells: the narrowest rung whose overflow, the
-    cells at the cap or above as uint32 codes and counts in the
-    narrowest type of their largest, takes fewer bytes than the table's
+def table_layout(exact):
+    """The rung, ``(cap, dtype, per_byte)`` from ``RUNGS``, the overflow's
+    codes and its counts that the layout rule gives the dense exact
+    counts ``exact``: the narrowest rung whose overflow, the cells at the
+    cap or above as uint32 codes and counts in the narrowest type of
+    their largest, takes fewer bytes than the table's
     cells * sizeof(T) / per_byte."""
     for rung in RUNGS:
         cap, dtype, per_byte = rung
-        full = exact >= cap
-        codes, counts = nz[full], exact[full]
+        codes = np.flatnonzero(exact >= cap)
+        counts = exact[codes]
         counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
-        if len(codes) * (4 + counts.itemsize) < cells * dtype.itemsize // per_byte:
+        if len(codes) * (4 + counts.itemsize) < exact.size * dtype.itemsize // per_byte:
             return rung, codes.astype(np.uint32), counts
     raise AssertionError("no type holds the counts")
 
 
-def assert_top_layout(model, exact=None):
-    """The model's top table and overflow are the layout of the dense
-    exact top-order counts ``exact``, by default its own: each non-zero
-    cell holds min(count, cap), and no other cell is non-zero."""
+def assert_layout(table, exact=None):
+    """A count table's cells and overflow are the layout of the dense
+    exact counts ``exact``, by default its own: each non-zero cell holds
+    min(count, cap), and no other cell is non-zero. Returns the cap."""
     if exact is None:
-        exact = exact_counts(model, model.n)
+        exact = exact_counts(table)
+    (cap, dtype, per_byte), codes, counts = table_layout(exact)
+    assert table.cap == cap
+    assert table.cells.dtype == dtype
+    assert table.cells.nbytes == exact.size * dtype.itemsize // per_byte
     nz = np.flatnonzero(exact)
-    (cap, dtype, per_byte), codes, counts = top_layout(nz, exact[nz], exact.size)
-    table = model.counts[model.n - 1]
-    assert table.dtype == dtype
-    assert table.nbytes == exact.size * dtype.itemsize // per_byte
-    cells = top_cells(model)
+    cells = table_cells(table)
     capped = exact[nz].astype(dtype)
     capped[exact[nz] >= cap] = cap
     np.testing.assert_array_equal(cells[nz], capped)
     assert np.count_nonzero(cells) == len(nz)
-    over_codes, over_counts = model.overflow
+    over_codes, over_counts = table.overflow
     np.testing.assert_array_equal(over_codes, codes)
     np.testing.assert_array_equal(over_counts, counts)
     assert over_codes.dtype == np.uint32
@@ -93,19 +88,17 @@ def assert_top_layout(model, exact=None):
     return cap
 
 
-def count_of(model, gram):
-    """Raw count of a k-gram, k <= n, read from its one cell: the brute
-    force asks for grams one by one, too often to unpack a 4-bit table."""
-    k, code = len(gram), int.from_bytes(gram, "big")
-    table = model.counts[k - 1]
-    if k < model.n:
-        return int(table[code])
-    codes, over = model.overflow
+def count_of(table, gram):
+    """Raw count of a gram in its order's count table, read from its one
+    cell: the brute force asks for grams one by one, too often to unpack
+    4-bit cells."""
+    code = int.from_bytes(gram, "big")
+    codes, over = table.overflow
     if code in codes:
         return int(over[np.searchsorted(codes, code)])
-    if table.size < 256**k:
-        return int(table[code >> 1]) >> 4 * (code & 1) & 15
-    return int(table[code])
+    if table.cells.size < table.size:
+        return int(table.cells[code >> 1]) >> 4 * (code & 1) & 15
+    return int(table.cells[code])
 
 
 def sequence_logprob(model, data):
@@ -125,34 +118,34 @@ def zoo_masses(model, p):
     """A zoo's three numbers and its masses at the suspect's keys, as
     ``slamm_classify`` reads them."""
     masses = model.histogram()
-    return masses, exact_counts(model, model.n)[p.keys] / masses.total
+    return masses, exact_counts(model.tables[-1])[p.keys] / masses.total
 
 
 def brute_force_logprob(model, data):
     """Scalar re-derivation of the back-off chain, token by token."""
     d = model.smoothing.discount
     eps = model.smoothing.unseen_floor
+
+    def count(gram):
+        return count_of(model.tables[len(gram) - 1], gram)
+
     total = 0.0
     for i in range(model.n - 1, len(data)):
         w = data[i]
-        q = max(count_of(model, bytes([w])) - d, 0.0) / max(model.total_tokens, 1)
+        q = max(count(bytes([w])) - d, 0.0) / max(model.total_tokens, 1)
         q += (
             d
-            * np.count_nonzero(exact_counts(model, 1))
+            * np.count_nonzero(exact_counts(model.tables[0]))
             / max(model.total_tokens, 1)
             / 256.0
         )
         for k in range(2, model.n + 1):
             ctx = data[i - k + 1 : i]
-            ctx_total = sum(
-                count_of(model, ctx + bytes([b])) for b in range(256)
-            )
+            ctx_total = sum(count(ctx + bytes([b])) for b in range(256))
             if ctx_total == 0:
                 continue
-            distinct = sum(
-                count_of(model, ctx + bytes([b])) > 0 for b in range(256)
-            )
-            gram = count_of(model, ctx + bytes([w]))
+            distinct = sum(count(ctx + bytes([b])) > 0 for b in range(256))
+            gram = count(ctx + bytes([w]))
             q = max(gram - d, 0.0) / ctx_total + (d * distinct / ctx_total) * q
         total += math.log2(max(q, eps))
     return total
@@ -162,13 +155,13 @@ def per_order_q(model, codes):
     """The back-off chain re-smoothed order by order at every code."""
     d = model.smoothing.discount
     t1 = max(model.total_tokens, 1)
-    unigrams = exact_counts(model, 1)
+    unigrams = exact_counts(model.tables[0])
     q = np.maximum(unigrams[codes & 0xFF] - d, 0.0) / t1 + (
         d * np.count_nonzero(unigrams) / t1
     ) * (1.0 / 256.0)
     for k in range(2, model.n + 1):
         gk = codes & ((1 << (8 * k)) - 1)
-        counts = exact_counts(model, k)
+        counts = exact_counts(model.tables[k - 1])
         table = counts.reshape(256 ** (k - 1), 256)
         tk = table.sum(axis=1, dtype=np.int64)[gk >> 8]
         distinct = np.count_nonzero(table, axis=1).astype(np.int64)[gk >> 8]
@@ -208,11 +201,12 @@ class TestEncodeNgrams:
 class TestNgramModelTraining:
     def test_counts_golden(self):
         model = slamm.NgramModel.train([b"abab", b"ab"], n=2)
-        assert count_of(model, b"a") == 3
-        assert count_of(model, b"b") == 3
-        assert count_of(model, b"ab") == 3
-        assert count_of(model, b"ba") == 1
-        assert count_of(model, b"aa") == 0
+        unigrams, bigrams = model.tables
+        assert count_of(unigrams, b"a") == 3
+        assert count_of(unigrams, b"b") == 3
+        assert count_of(bigrams, b"ab") == 3
+        assert count_of(bigrams, b"ba") == 1
+        assert count_of(bigrams, b"aa") == 0
         assert model.total_tokens == 6
 
     def test_short_documents_skipped(self):
@@ -221,7 +215,7 @@ class TestNgramModelTraining:
             [b"ab", b"abcabc"], n=3, diagnostics=diags
         )
         assert len(diags) == 1
-        assert count_of(model, b"abc") == 2
+        assert count_of(model.tables[2], b"abc") == 2
 
     def test_empty_zoo(self):
         with pytest.raises(DataError, match="empty zoo"):
@@ -238,13 +232,13 @@ class TestNgramModelTraining:
 
 
 def _bincount_oracle(docs, n, smoothing):
-    """A finalized zoo "z" whose order-k table is the bincount of every
-    document's k-gram codes, in the narrowest type of its largest count;
-    its top table holds the exact counts, with no overflow."""
+    """A finalized zoo "z" whose order-k table's cells are the bincount of
+    every document's k-gram codes, one per code, in the narrowest type of
+    the largest count, with no overflow."""
     oracle = slamm.NgramModel(n=n, smoothing=smoothing, zoo_id="z")
-    for k in range(1, n + 1):
+    for k, table in enumerate(oracle.tables, 1):
         dense = sum(np.bincount(slamm.encode_ngrams(d, k), minlength=256**k) for d in docs)
-        oracle.counts[k - 1] = dense.astype(np.min_scalar_type(dense.max()))
+        table.cells = dense.astype(np.min_scalar_type(dense.max()))
     return oracle.finalize()
 
 
@@ -264,12 +258,12 @@ class TestTrainingOracle:
         smoothing = slamm.SmoothingParams(discount=0.37)
         trained = slamm.NgramModel.train(docs, n=n, smoothing=smoothing, zoo_id="z")
         oracle = _bincount_oracle(docs, n, smoothing)
-        assert len(trained.counts) == len(oracle.counts) == n
-        for k in range(1, n + 1):
-            a, b = exact_counts(trained, k), exact_counts(oracle, k)
+        assert len(trained.tables) == len(oracle.tables) == n
+        for table, dense in zip(trained.tables, oracle.tables):
+            a, b = exact_counts(table), exact_counts(dense)
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
-        assert_top_layout(trained, exact_counts(oracle, n))
+            assert_layout(table, b)
         assert len(trained._tk_safe) == len(trained._lam) == n - 1
         for k in range(2, n + 1):
             tk_safe, lam = _dense_context_tables(oracle, k)
@@ -278,7 +272,7 @@ class TestTrainingOracle:
                 np.testing.assert_array_equal(model._lam[k - 2], lam)
                 # The totals are held in the narrowest type that fits them.
                 assert model._tk_safe[k - 2].dtype == np.min_scalar_type(int(tk_safe.max()))
-        top = exact_counts(oracle, n)
+        top = exact_counts(oracle.tables[-1])
         assert trained._top == oracle._top
         assert trained._top[:2] == (np.count_nonzero(top), top.sum())
         trained.save(tmp_path / "trained.slmm")
@@ -296,8 +290,8 @@ class TestTrainingOracle:
         # the table stays in 4-bit cells, 8 MiB, with no second table
         # beside it.
         model = self._check_training_peak(synth_files, 1000)
-        assert model.overflow[0].tolist() == [0]
-        assert model.overflow[1].tolist() == [998]
+        assert model.tables[2].overflow[0].tolist() == [0]
+        assert model.tables[2].overflow[1].tolist() == [998]
 
     def _check_training_peak(self, synth_files, zeros):
         table = 256**3 // 2
@@ -309,7 +303,7 @@ class TestTrainingOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert model.counts[2].nbytes == table
+        assert model.tables[2].cells.nbytes == table
         assert table <= peak < 2 * table
         return model
 
@@ -318,13 +312,14 @@ class TestTrainingOracle:
         # document must add to it in int64, not fail or round through float64.
         model = slamm.NgramModel(n=3, smoothing=slamm.SmoothingParams())
         model.add_document(b"\0" * 10)
-        model._add_top(np.array([0]), np.array([(1 << 53) + 1]))
+        trigrams = model.tables[2]
+        trigrams.add(np.array([0]), np.array([(1 << 53) + 1]))
         model.add_document(b"\0" * 10)
         model.finalize()
-        assert model.overflow[1].dtype == np.uint64
-        assert exact_counts(model, 3).dtype == np.uint64
-        assert count_of(model, b"\0\0\0") == (1 << 53) + 17
-        assert_top_layout(model)
+        assert trigrams.overflow[1].dtype == np.uint64
+        assert exact_counts(trigrams).dtype == np.uint64
+        assert count_of(trigrams, b"\0\0\0") == (1 << 53) + 17
+        assert_layout(trigrams)
 
     def test_table_widened_between_documents_saves_like_oracle(self, tmp_path):
         # Each run of 200 zeros adds 198 to one trigram count: the first
@@ -336,10 +331,11 @@ class TestTrainingOracle:
         docs[1:1] = [b"\0" * 200]
         docs[4:4] = [b"\0" * 200]
         model = slamm.NgramModel.train(docs, n=3, zoo_id="z")
-        assert model.counts[2].nbytes == 256**3 // 2
-        assert exact_counts(model, 3).dtype == np.uint16
-        assert model.overflow[0].tolist() == [0]
-        assert count_of(model, b"\0\0\0") >= 396
+        trigrams = model.tables[2]
+        assert trigrams.cells.nbytes == 256**3 // 2
+        assert exact_counts(trigrams).dtype == np.uint16
+        assert trigrams.overflow[0].tolist() == [0]
+        assert count_of(trigrams, b"\0\0\0") >= 396
         model.save(tmp_path / "trained.slmm")
         _bincount_oracle(docs, 3, model.smoothing).save(tmp_path / "oracle.slmm")
         assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
@@ -358,8 +354,8 @@ class TestTrainingOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert loaded.counts[2].nbytes == table
-        assert exact_counts(loaded, 3).dtype == np.uint16
+        assert loaded.tables[2].cells.nbytes == table
+        assert exact_counts(loaded.tables[2]).dtype == np.uint16
         assert table <= peak < 2 * table
 
 
@@ -382,11 +378,12 @@ class TestTopOverflow:
             tracemalloc.stop()
         assert peak < 256**3
         for model in (trained, loaded):
-            assert model.counts[2].nbytes == 256**3 // 2
-            codes, counts = model.overflow
+            trigrams = model.tables[2]
+            assert trigrams.cells.nbytes == 256**3 // 2
+            codes, counts = trigrams.overflow
             assert (codes.tolist(), counts.tolist()) == ([0], [998])
             assert (codes.dtype, counts.dtype) == (np.uint32, np.uint16)
-            assert_top_layout(model)
+            assert_layout(trigrams)
 
     @pytest.mark.parametrize(
         "distinct, big, dtype, overflow",
@@ -414,9 +411,10 @@ class TestTopOverflow:
         trained.save(tmp_path / "trained.slmm")
         loaded = slamm.NgramModel.load(tmp_path / "trained.slmm")
         for model in (trained, loaded):
-            assert model.counts[0].dtype == dtype
-            assert len(model.overflow[0]) == overflow
-            assert_top_layout(model)
+            unigrams = model.tables[0]
+            assert unigrams.cells.dtype == dtype
+            assert len(unigrams.overflow[0]) == overflow
+            assert_layout(unigrams)
         _bincount_oracle(docs, 1, trained.smoothing).save(tmp_path / "oracle.slmm")
         assert (tmp_path / "trained.slmm").read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
@@ -428,8 +426,8 @@ class TestTopOverflow:
         path = tmp_path / "trained.slmm"
         slamm.NgramModel.train(docs, n=3, zoo_id="z").save(path)
         loaded = slamm.NgramModel.load(path)
-        assert len(loaded.overflow[0]) > 1
-        assert loaded.counts[2].nbytes == 256**3 // 2
+        assert len(loaded.tables[2].overflow[0]) > 1
+        assert loaded.tables[2].cells.nbytes == 256**3 // 2
         loaded.save(tmp_path / "again.slmm")
         assert (tmp_path / "again.slmm").read_bytes() == path.read_bytes()
 
@@ -445,12 +443,13 @@ class TestTopOverflow:
         loaded = slamm.NgramModel.load(path)
         codes = np.frombuffer(b"abc", dtype=np.uint8).astype(np.int64)
         for model in (trained, loaded):
-            assert model.counts[0].nbytes == 128
-            assert model.counts[0][48:50].tolist() == [14 << 4, 15 | 15 << 4]
-            assert model.overflow[0].tolist() == [ord("b"), ord("c")]
-            assert model.overflow[1].tolist() == [15, 16]
+            unigrams = model.tables[0]
+            assert unigrams.cells.nbytes == 128
+            assert unigrams.cells[48:50].tolist() == [14 << 4, 15 | 15 << 4]
+            assert unigrams.overflow[0].tolist() == [ord("b"), ord("c")]
+            assert unigrams.overflow[1].tolist() == [15, 16]
             assert model.top_counts(codes).tolist() == [14, 15, 16]
-            assert assert_top_layout(model) == 15
+            assert assert_layout(unigrams) == 15
         _bincount_oracle(docs, 1, trained.smoothing).save(tmp_path / "oracle.slmm")
         assert path.read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
@@ -463,34 +462,37 @@ class TestTopOverflow:
         # make each loaded context a block of its own.
         monkeypatch.setattr(slamm, "_BLOCK", 5)
         widened = []
-        widen = slamm.NgramModel._widen_top
+        widen = slamm._CountTable.widen
 
-        def spy(model):
-            widened.append(model._top_cap())
-            widen(model)
+        def spy(table):
+            if table.size == 256**2:
+                widened.append(table.cap)
+            widen(table)
 
-        monkeypatch.setattr(slamm.NgramModel, "_widen_top", spy)
+        monkeypatch.setattr(slamm._CountTable, "widen", spy)
 
         def pairs(alphabet, repeats):
             return np.indices((alphabet, alphabet)).reshape(2, -1).T.astype(np.uint8).tobytes() * repeats
 
         docs = [pairs(90, 1), pairs(90, 8), pairs(110, 130)]
-        model = slamm.NgramModel(n=2, smoothing=slamm.SmoothingParams(), zoo_id="z")
+        table = slamm._CountTable(256**2)
         caps = []
         for i, doc in enumerate(docs):
-            model.add_document(doc)
-            model._merge_overflow()  # as finalize does, so the overflow is whole
+            table.add(*slamm._sorted_runs(slamm.encode_ngrams(doc, 2, np.int32)))
+            table.merge()  # as finalize does, so the overflow is whole
             exact = sum(np.bincount(slamm.encode_ngrams(d, 2), minlength=256**2) for d in docs[: i + 1])
-            caps.append(assert_top_layout(model, exact))
+            caps.append(assert_layout(table, exact))
         assert caps == [15, 255, 65535]
         assert widened == [15, 255]
         path = tmp_path / "trained.slmm"
-        model.finalize().save(path)
+        widened.clear()
+        slamm.NgramModel.train(docs, n=2, zoo_id="z").save(path)
+        assert widened == [15, 255]
         widened.clear()
         loaded = slamm.NgramModel.load(path)
         assert widened == [15, 255]
-        assert assert_top_layout(loaded, exact) == 65535
-        _bincount_oracle(docs, 2, model.smoothing).save(tmp_path / "oracle.slmm")
+        assert assert_layout(loaded.tables[1], exact) == 65535
+        _bincount_oracle(docs, 2, loaded.smoothing).save(tmp_path / "oracle.slmm")
         assert path.read_bytes() == (tmp_path / "oracle.slmm").read_bytes()
 
     @pytest.mark.parametrize(
@@ -508,20 +510,16 @@ class TestTopOverflow:
             (90, 1 << 33, (1 << 64) - 1),
         ],
     )
-    def test_top_counts_with_the_suspects_index_equal_without(self, capped, big, cap):
+    def test_gather_at_every_rung(self, capped, big, cap):
         rng = np.random.default_rng(capped)
         counts = rng.integers(1, 15, 256)
         counts[rng.choice(256, capped, replace=False)] = big + rng.integers(0, 3, capped)
-        model = slamm.NgramModel(n=1, smoothing=slamm.SmoothingParams())
-        model._add_top(np.arange(256), counts)
-        model._merge_overflow()
-        assert assert_top_layout(model, counts) == cap
+        table = slamm._CountTable(256)
+        table.add(np.arange(256), counts)
+        table.merge()
+        assert assert_layout(table, counts) == cap
         keys = np.unique(rng.integers(0, 256, 100))
-        got = model.top_counts(keys, slamm._nibble_index(keys))
-        want = model.top_counts(keys)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got, counts[keys])
-        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(table.gather(keys), counts[keys])
 
     def test_load_merges_the_overflow_in_doubling_steps(self, tmp_path, monkeypatch):
         # Blocks of 5 records hold one context of four trigrams each, all
@@ -535,16 +533,17 @@ class TestTopOverflow:
         trained = slamm.NgramModel.train(docs, n=3, zoo_id="z")
         trained.save(path)
         merged = []
-        merge = slamm.NgramModel._merge_overflow
+        merge = slamm._CountTable.merge
 
-        def spy(model):
-            merged.append(sum(len(c) for c, _ in model._pending))
-            merge(model)
+        def spy(table):
+            if table.size == 256**3:
+                merged.append(sum(len(c) for c, _ in table._pending))
+            merge(table)
 
-        monkeypatch.setattr(slamm.NgramModel, "_merge_overflow", spy)
+        monkeypatch.setattr(slamm._CountTable, "merge", spy)
         loaded = slamm.NgramModel.load(path)
         assert merged == [4, 4, 8, 16, 32, 0]
-        for a, b in zip(trained.overflow, loaded.overflow):
+        for a, b in zip(trained.tables[2].overflow, loaded.tables[2].overflow):
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype
 
@@ -555,7 +554,7 @@ class TestTopOverflow:
         # merged once they hold as many cells as the overflow, and every
         # other step merges them as finalize does.
         rng = np.random.default_rng(3)
-        model = slamm.NgramModel(n=2, smoothing=slamm.SmoothingParams())
+        table = slamm._CountTable(256**2)
         exact = np.zeros(256**2, dtype=np.int64)
         carried = 0
         for step in range(14):
@@ -566,17 +565,17 @@ class TestTopOverflow:
             raised = rng.choice(over, len(over) // 3, replace=False)
             add[raised] = rng.integers(1, 30 * step + 2, len(raised))
             codes = np.flatnonzero(add)
-            carried += len(model._pending) > 0
-            had = model._add_top(codes, add[codes])
+            carried += len(table._pending) > 0
+            had = table.add(codes, add[codes])
             np.testing.assert_array_equal(had, np.minimum(exact[codes], 15))
             exact += add
-            assert sum(len(c) for c, _ in model._pending) < max(len(model.overflow[0]), 1)
+            assert sum(len(c) for c, _ in table._pending) < max(len(table.overflow[0]), 1)
             if step % 2:
-                model._merge_overflow()
-                assert model._pending == []
-                assert assert_top_layout(model, exact) == 15
+                table.merge()
+                assert table._pending == []
+                assert assert_layout(table, exact) == 15
         assert carried > 0
-        assert model.overflow[1].dtype == np.uint16
+        assert table.overflow[1].dtype == np.uint16
 
 
 class TestSmoothing:
@@ -768,8 +767,8 @@ class TestSerialization:
         assert loaded.n == model.n
         assert loaded.zoo_id == "zoo-a"
         assert loaded.smoothing == model.smoothing
-        for k in range(1, model.n + 1):
-            np.testing.assert_array_equal(exact_counts(model, k), exact_counts(loaded, k))
+        for a, b in zip(model.tables, loaded.tables):
+            np.testing.assert_array_equal(exact_counts(a), exact_counts(b))
         p = slamm.NgramHistogram.from_data(b"cabana", model.n)
         assert slamm.cross_entropy(loaded, p) == pytest.approx(
             slamm.cross_entropy(model, p), abs=1e-12
@@ -884,11 +883,11 @@ class TestSerialization:
         slamm.NgramModel.train([b"abracadabra"], n=3, zoo_id="zoo").save(path)
         raw = _patch_record(path.read_bytes(), order=3, count=1 << 31, width=4)
         path.write_bytes(raw)
-        model = slamm.NgramModel.load(path)
-        assert exact_counts(model, 3).dtype == np.uint32
-        assert exact_counts(model, 3).max() == 1 << 31
-        assert model.overflow[1].tolist() == [1 << 31]
-        assert_top_layout(model)
+        trigrams = slamm.NgramModel.load(path).tables[2]
+        assert exact_counts(trigrams).dtype == np.uint32
+        assert exact_counts(trigrams).max() == 1 << 31
+        assert trigrams.overflow[1].tolist() == [1 << 31]
+        assert_layout(trigrams)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_width_wider_than_largest_count_is_data_error(self, tmp_path, order):
@@ -973,10 +972,10 @@ class TestLoadFuzz:
                 model = slamm.NgramModel.load(path)
             except DataError:
                 return
-        for k in range(1, model.n + 1):
-            counts = exact_counts(model, k)
+        for table in model.tables:
+            counts = exact_counts(table)
             assert counts.dtype == np.min_scalar_type(int(counts.max()))
-        assert_top_layout(model)
+            assert_layout(table)
         for data in [b"ab", b"abracadabra" * 3, bytes(range(256)), b"\0" * 300]:
             try:
                 slamm.slamm_classify(data, [model], model)
@@ -1008,7 +1007,7 @@ class TestContextBlocks:
 def _dense_context_stats(model, k):
     """Per-context total and distinct continuations of order k, from a
     full scan of the dense counts."""
-    table = exact_counts(model, k).reshape(256 ** (k - 1), 256)
+    table = exact_counts(model.tables[k - 1]).reshape(256 ** (k - 1), 256)
     return table.sum(axis=1, dtype=np.int64), np.count_nonzero(table, axis=1)
 
 
@@ -1046,16 +1045,21 @@ class TestLoadedTables:
         trained.save(path)
         loaded = slamm.NgramModel.load(path)
         if n == 3:
-            assert loaded.counts[2].nbytes == 256**3 // 2
-            assert exact_counts(loaded, 3).dtype == top_dtype
-        assert len(trained.counts) == len(loaded.counts) == n
-        for k in range(1, n + 1):
-            a, b = exact_counts(trained, k), exact_counts(loaded, k)
+            assert loaded.tables[2].cells.nbytes == 256**3 // 2
+            assert exact_counts(loaded.tables[2]).dtype == top_dtype
+        assert len(trained.tables) == len(loaded.tables) == n
+        # Every order follows the one layout rule, and the loaded cells
+        # and overflow are the trained ones.
+        for mine, read in zip(trained.tables, loaded.tables):
+            a, b = exact_counts(mine), exact_counts(read)
             assert np.array_equal(a, b)
             assert a.dtype == b.dtype == np.min_scalar_type(int(a.max()))
-        for model in (trained, loaded):
-            assert_top_layout(model)
-        assert loaded.counts[n - 1].dtype == trained.counts[n - 1].dtype
+            assert assert_layout(mine) == assert_layout(read)
+            assert mine.cells.dtype == read.cells.dtype
+            np.testing.assert_array_equal(mine.cells, read.cells)
+            for x, y in zip(mine.overflow, read.overflow):
+                np.testing.assert_array_equal(x, y)
+                assert x.dtype == y.dtype
         suspects = [docs[0][:500], b"\0" * 300 + b"abracadabra", bytes(range(256))]
         suspects.append(rng.integers(0, 256, 2000).astype(np.uint8).tobytes())
         for data in suspects:
@@ -1086,7 +1090,7 @@ class TestLoadedTables:
             assert np.all(loaded._tk_safe[k - 2][~seen] == 1)
             assert np.all(loaded._lam[k - 2][~seen] == 1.0)
         h_trained, h_loaded = trained.histogram(), loaded.histogram()
-        top = exact_counts(trained, n)
+        top = exact_counts(trained.tables[-1])
         assert h_trained.support_size == h_loaded.support_size == np.count_nonzero(top)
         assert h_trained.total == h_loaded.total == top.sum()
         assert h_trained.sum_of_squares == h_loaded.sum_of_squares
@@ -1099,21 +1103,25 @@ class TestOneLayout:
     def test_trained_and_loaded_zoos_hold_one_layout(self, tmp_path, synth_files):
         # Each synth zoo, plus its first document twenty times so that
         # thousands of trigram counts reach the cap, trains and loads into
-        # the same 4-bit table and overflow.
+        # the same 4-bit trigram table and overflow, and the same tables
+        # of every lower order.
         docs, _ = synth_files
         for zoo, zoo_docs in docs.items():
             trained = slamm.NgramModel.train(zoo_docs + [zoo_docs[0] * 20], n=3, zoo_id=zoo)
             trained.save(tmp_path / f"{zoo}.slmm")
             loaded = slamm.NgramModel.load(tmp_path / f"{zoo}.slmm")
-            assert assert_top_layout(trained) == assert_top_layout(loaded) == 15
-            assert len(trained.overflow[0]) > 1000
-            # Every stored run is merged before finalize, so scoring
-            # threads read one sorted overflow.
-            assert trained._pending == loaded._pending == []
-            np.testing.assert_array_equal(trained.counts[2], loaded.counts[2])
-            for a, b in zip(trained.overflow, loaded.overflow):
-                np.testing.assert_array_equal(a, b)
-                assert a.dtype == b.dtype
+            assert assert_layout(trained.tables[2]) == 15
+            assert len(trained.tables[2].overflow[0]) > 1000
+            for mine, read in zip(trained.tables, loaded.tables):
+                assert assert_layout(mine) == assert_layout(read)
+                # Every stored run is merged before finalize, so scoring
+                # threads read one sorted overflow.
+                assert mine._pending == read._pending == []
+                assert mine.cells.dtype == read.cells.dtype
+                np.testing.assert_array_equal(mine.cells, read.cells)
+                for a, b in zip(mine.overflow, read.overflow):
+                    np.testing.assert_array_equal(a, b)
+                    assert a.dtype == b.dtype
 
 
 @pytest.fixture(scope="module")
@@ -1187,7 +1195,7 @@ class TestHistogram:
         # A zoo's masses pool the n-grams of all its documents.
         model = slamm.NgramModel.train([b"ab", b"ab", b"cd"], n=2)
         masses = model.histogram()
-        got = exact_counts(model, 2)[np.array([0x6162, 0x6364, 0x6263])] / masses.total
+        got = exact_counts(model.tables[1])[np.array([0x6162, 0x6364, 0x6263])] / masses.total
         np.testing.assert_allclose(got, [2 / 3, 1 / 3, 0.0], rtol=1e-15)
         assert masses.support_size == 2
         assert masses.sum_of_squares == pytest.approx(5 / 9, rel=1e-15)
@@ -1205,7 +1213,7 @@ class TestHistogram:
         masses = model.histogram()
         assert masses.support_size == len(keys)
         assert masses.total == counts.sum()
-        assert exact_counts(model, 2)[keys] / masses.total == pytest.approx(counts / counts.sum())
+        assert exact_counts(model.tables[1])[keys] / masses.total == pytest.approx(counts / counts.sum())
         assert masses.sum_of_squares == pytest.approx(((counts / counts.sum()) ** 2).sum())
 
     @pytest.mark.parametrize("n", [2, 3])
