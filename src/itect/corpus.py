@@ -1,4 +1,4 @@
-"""Labeled file corpora: scanning, hashing, splitting, hexdump codecs.
+"""Labeled file corpora: scanning, hashing, splitting, hexdump decoding.
 
 A corpus is described by a manifest: one entry per file with its label
 (malware/benign), concealment category, train/validation/test split,
@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError
 
@@ -24,7 +25,7 @@ CATEGORIES = ("polymorphic", "metamorphic", "packed", "benign", "unknown")
 SPLITS = ("train", "validation", "test")
 
 _HEX_PAIRS = set("0123456789abcdefABCDEF")
-# bytes.translate table of the one-pass decoder: a hex digit maps to its
+# bytes.translate table of the block decoder: a hex digit maps to its
 # value, "?" to 16, ":" to 32, space, tab and CR to 64, LF to 128. Any
 # other byte maps to 255 and sends the text to the line decoder.
 _QMARK, _COLON, _BLANK, _LF, _OTHER = 16, 32, 64, 128, 255
@@ -221,17 +222,20 @@ def hexdump_to_bytes(text: str) -> bytes:
     decoded so far (monotone, gap-free). Blank lines are ignored. Errors
     name the line. A dump in the plain layout (ASCII; a hex offset of at
     most 15 digits with at most one ``:``, then pairs separated by
-    spaces or tabs; LF or CRLF line ends) is decoded in one vectorised
-    pass over the whole text. Any other text is parsed line by line and
-    token by token, with the same result and the same errors.
+    spaces or tabs; LF or CRLF line ends) whose lines come in long runs
+    of equal length is decoded one run at a time, as a block of rows
+    that share their columns. Any other text, a dump whose line lengths
+    vary included, is parsed line by line and token by token, with the
+    same result and the same errors.
     """
     data = _decode_plain(text)
     return _decode_lines(text) if data is None else data
 
 
 def _decode_plain(text: str) -> bytes | None:
-    """Decode a dump in the plain layout, or return None for any other
-    text (including every text that is not a valid dump)."""
+    """Decode a dump in the plain layout, one run of equal-length lines
+    at a time, or return None for any other text (including every text
+    that is not a valid dump) and for lines that form many short runs."""
     if not text.isascii():
         return None
     raw = text.encode("ascii")
@@ -241,44 +245,40 @@ def _decode_plain(text: str) -> bytes | None:
     if bytes([_OTHER]) in codes:
         return None
     code = np.frombuffer(codes, dtype=np.uint8)
-    word = np.zeros(len(code) + 2, dtype=bool)
-    word[1:-1] = code <= _COLON
-    edges = np.flatnonzero(word[1:] != word[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    if not len(starts):
-        return b""
-    # A line's first token is its offset: the first token after each LF,
-    # and the very first token.
-    first = np.zeros(len(starts) + 1, dtype=bool)
-    first[np.searchsorted(starts, np.flatnonzero(code == _LF))] = True
-    first[0] = True
-    first = first[:-1]
-
-    pairs = starts[~first]
-    if (ends[~first] - pairs != 2).any():
+    starts = np.append(0, np.flatnonzero(code == _LF) + 1)
+    lengths = np.diff(np.append(starts, len(code) + 1)) - 1
+    runs = np.append(0, np.flatnonzero(lengths[1:] != lengths[:-1]) + 1)
+    # A run costs ~8 lines of the line parser: with more runs than about
+    # one per eight lines, that parser is the faster one.
+    if len(runs) > 8 + len(lengths) // 8:
         return None
-    hi, lo = code[pairs], code[pairs + 1]
-    # Two hex digits, or "??" (no hex digit or ":" shares the 16 bit).
-    if not (((hi | lo) < _QMARK) | ((hi & lo) == _QMARK)).all():
-        return None
-    out = ((hi & 15) << 4) | (lo & 15)
-
-    off_starts, off_ends = starts[first], ends[first]
-    digits = off_ends - off_starts - (code[off_ends - 1] == _COLON)
-    if digits.min() < 1 or digits.max() > _MAX_OFFSET_DIGITS:
-        return None
-    offsets = np.zeros(len(off_starts), dtype=np.int64)
-    for col in range(int(digits.max())):
-        rows = digits > col
-        digit = code[off_starts[rows] + col]
-        if (digit >= _QMARK).any():
+    parts, done = [], 0
+    for first, end in zip(runs, np.append(runs[1:], len(lengths))):
+        width = int(lengths[first])
+        rows = as_strided(code[starts[first]:], (end - first, width), (width + 1, 1))
+        # The first row fixes every row's columns: word (a hex digit or
+        # "?"), ":" and blank.
+        kind = rows[0] & (_COLON | _BLANK)
+        if ((rows & (_COLON | _BLANK)) != kind).any():
             return None
-        offsets[rows] = offsets[rows] * 16 + digit
-    line_pairs = np.diff(np.append(np.flatnonzero(first), len(starts))) - 1
-    expected = np.concatenate(([0], np.cumsum(line_pairs)[:-1]))
-    if (offsets != expected).any():
-        return None
-    return out.tobytes()
+        edges = np.flatnonzero(np.diff(kind < _BLANK, prepend=False, append=False))
+        if not len(edges):
+            continue  # blank lines
+        pairs, ends = edges[2::2], edges[3::2]
+        hi, lo = rows[:, pairs], rows[:, ends - 1]
+        digits = rows[:, edges[0]:edges[1] - (kind[edges[1] - 1] == _COLON)]
+        place = 16 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+        # Pairs of two hex digits or "??" (no hex digit or ":" shares the
+        # 16 bit), and an offset of 1-15 digits, before at most one ":",
+        # that counts the bytes so far.
+        if ((ends - pairs != 2).any()
+                or not (((hi | lo) < _QMARK) | ((hi & lo) == _QMARK)).all()
+                or not 1 <= len(place) <= _MAX_OFFSET_DIGITS or (digits >= _QMARK).any()
+                or (digits @ place != done + len(pairs) * np.arange(len(rows))).any()):
+            return None
+        parts.append(((hi & 15) << 4) | (lo & 15))
+        done += hi.size
+    return b"".join(p.tobytes() for p in parts)
 
 
 def _decode_lines(text: str) -> bytes:
@@ -309,21 +309,6 @@ def _decode_lines(text: str) -> bytes:
     return bytes(out)
 
 
-def bytes_to_hexdump(data: bytes, width: int = 16) -> str:
-    """Inverse of :func:`hexdump_to_bytes` for well-formed input."""
-    lines = []
-    for off in range(0, len(data), width):
-        chunk = data[off : off + width]
-        pairs = " ".join(f"{b:02X}" for b in chunk)
-        lines.append(f"{off:08X} {pairs}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_file_bytes(path: str | Path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def is_hexdump_path(path: str | Path) -> bool:
     return str(path).endswith((".hexdump", ".hex", ".bytes"))
 
@@ -337,4 +322,5 @@ def load_sample(path: str | Path) -> bytes:
             raise DataError(
                 f"{path}: hexdump is not UTF-8 text ({exc.reason})"
             ) from None
-    return read_file_bytes(path)
+    with open(path, "rb") as fh:
+        return fh.read()

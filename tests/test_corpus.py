@@ -1,5 +1,7 @@
-import os
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -105,6 +107,16 @@ class TestSplitManifest:
     def test_bad_fraction(self):
         with pytest.raises(DataError):
             corpus.split_manifest(_manifest(10, 10), 1.5, seed=0)
+
+
+def bytes_to_hexdump(data: bytes) -> str:
+    """The ``offset pairs`` dump, 16 bytes a line, that
+    :func:`corpus.hexdump_to_bytes` decodes."""
+    lines = [
+        f"{off:08X} {data[off:off + 16].hex(' ').upper()}"
+        for off in range(0, len(data), 16)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def token_decoder(text):
@@ -250,7 +262,7 @@ class TestHexdump:
     @given(st.binary(min_size=0, max_size=200), st.booleans(), st.booleans(),
            st.booleans())
     def test_round_trip(self, data, colon, crlf, lower):
-        text = corpus.bytes_to_hexdump(data)
+        text = bytes_to_hexdump(data)
         if colon:
             text = text.replace(" ", ": ", 1)
         if crlf:
@@ -258,8 +270,31 @@ class TestHexdump:
         if lower:
             text = text.lower()
         assert corpus.hexdump_to_bytes(text) == data
-        # The plain layout decodes in the one pass, never line by line.
+        # The plain layout decodes in runs of equal-length lines, never line
+        # by line: the line with the colon, the body and the short last line.
         assert corpus._decode_plain(text) == data
+
+    def test_decode_memory_is_a_few_times_the_text(self):
+        data = np.random.default_rng(5).integers(0, 256, 1_500_000, np.uint8).tobytes()
+        text = bytes_to_hexdump(data)
+        tracemalloc.start()
+        try:
+            assert corpus.hexdump_to_bytes(text) == data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(text)
+
+    def test_many_runs_go_to_the_line_parser(self):
+        rng = random.Random(3)
+        lines, off = [], 0
+        for _ in range(2000):
+            pairs = [f"{rng.randrange(256):02X}" for _ in range(rng.randint(1, 16))]
+            lines.append(" ".join([f"{off:08X}", *pairs]))
+            off += len(pairs)
+        text = "\n".join(lines)
+        assert corpus._decode_plain(text) is None
+        assert corpus.hexdump_to_bytes(text) == token_decoder(text)
 
 
 class TestLoadSampleFuzz:
