@@ -9,7 +9,6 @@ configuration; CSV outputs get a ``<name>.meta.json`` sidecar instead.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
@@ -96,16 +95,10 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _shared_pool(args):
+def _shared_pool(args) -> SharedPool:
     """A pool of ``--threads`` cores, the calling thread included, for the
-    whole command; None for one thread, so the serial code runs."""
-    threads = _threads(args.threads)
-    if threads <= 1:
-        yield None
-        return
-    with SharedPool(threads - 1) as pool:
-        yield pool
+    whole command."""
+    return SharedPool(_threads(args.threads) - 1)
 
 
 def _relative(value):
@@ -197,7 +190,7 @@ def _cmd_ents(args) -> int:
         return ents.entropy_profile(data, params, source_digest=entry.digest).values
 
     with _shared_pool(args) as pool:
-        rows = list((pool.map if pool else map)(profile_of, entries))
+        rows = pool.map(profile_of, entries)
     matrix = ents.FeatureMatrix(
         rows=np.array(rows),
         col_index=list(range(params.n_points)),
@@ -319,7 +312,6 @@ def _cmd_slamm_classify(args) -> int:
     malware, benign = _load_slamm_models(args.models, args.benign)
     n = benign.n
     with _shared_pool(args) as pool:
-        zoo_map = pool.map if pool else map
         for path, data in _readable_samples(args.files):
             if len(data) < n:  # classify abstains on such a file
                 print(
@@ -327,7 +319,7 @@ def _cmd_slamm_classify(args) -> int:
                     file=sys.stderr,
                 )
                 continue
-            v = slamm.slamm_classify(data, malware, benign, zoo_map)
+            v = slamm.slamm_classify(data, malware, benign, pool.map)
             verdict = {"path": str(path), "cx": v.cx, "cd": v.cd, "cmse": v.cmse,
                        "overall": v.overall}
             print(json.dumps(verdict, sort_keys=True))
@@ -360,7 +352,7 @@ def _cmd_baseline(args) -> int:
                 spec,
                 test_digests=[e.digest for e in entries],
                 test_labels=[e.label for e in entries],
-                map=pool.map if pool else map,
+                map=pool.map,
             )
     ents.write_feature_csv(matrix, args.out)
     _write_sidecar(args.out, args, [args.manifest])

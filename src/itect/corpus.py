@@ -215,8 +215,8 @@ def split_manifest(
     return CorpusManifest(entries=tuple(out))
 
 
-def hexdump_to_bytes(text: str) -> bytes:
-    """Decode "offset hex-pairs" dump lines into raw bytes.
+def hexdump_to_bytes(dump: bytes | str) -> bytes:
+    """Decode "offset hex-pairs" dump lines, bytes or text, into raw bytes.
 
     ``??`` pairs decode to 0x00. Offsets must equal the number of bytes
     decoded so far (monotone, gap-free). Blank lines are ignored. Errors
@@ -226,21 +226,23 @@ def hexdump_to_bytes(text: str) -> bytes:
     of equal length is decoded one run at a time, as a block of rows
     that share their columns. Any other text, a dump whose line lengths
     vary included, is parsed line by line and token by token, with the
-    same result and the same errors.
+    same result and the same errors, once decoded as UTF-8.
     """
-    data = _decode_plain(text)
-    return _decode_lines(text) if data is None else data
+    raw = dump.encode("utf-8", "surrogatepass") if isinstance(dump, str) else dump
+    data = _decode_plain(raw)
+    if data is None:
+        data = _decode_lines(dump if isinstance(dump, str) else raw.decode("utf-8"))
+    return data
 
 
-def _decode_plain(text: str) -> bytes | None:
+def _decode_plain(raw: bytes) -> bytes | None:
     """Decode a dump in the plain layout, one run of equal-length lines
     at a time, or return None for any other text (including every text
     that is not a valid dump) and for lines that form many short runs."""
-    if not text.isascii():
+    if not raw.isascii():
         return None
-    raw = text.encode("ascii")
     if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
-        return None
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # lone CRs end lines
     codes = raw.translate(_CODES)
     if bytes([_OTHER]) in codes:
         return None
@@ -315,12 +317,11 @@ def is_hexdump_path(path: str | Path) -> bool:
 
 def load_sample(path: str | Path) -> bytes:
     """Read a sample, decoding hexdump-formatted files transparently."""
-    if is_hexdump_path(path):
-        try:
-            return hexdump_to_bytes(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path}: hexdump is not UTF-8 text ({exc.reason})"
-            ) from None
     with open(path, "rb") as fh:
-        return fh.read()
+        if not is_hexdump_path(path):
+            return fh.read()
+        data = fh.read()
+    try:
+        return hexdump_to_bytes(data)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: hexdump is not UTF-8 text ({exc.reason})") from None

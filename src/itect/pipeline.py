@@ -12,7 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,14 +139,16 @@ def itect_classify(
     ents_params: ents.EntsParams,
     malware_models: Sequence[slamm.NgramModel],
     benign_model: slamm.NgramModel,
-    pool: SharedPool | None = None,
+    pool: SharedPool = SharedPool(0),
 ) -> Verdict:
     """OR of the two detectors, with both sub-verdicts kept for audit.
 
-    With a ``pool``, EnTS runs on a helper thread while this thread
-    builds the suspect's n-gram histogram, and the zoos are then scored
-    on the pool's map. The verdict is the same; ``timings`` holds each
-    detector's own wall time, and the two overlap.
+    EnTS is submitted to ``pool`` and the zoos are scored on its map.
+    With helpers, EnTS runs on one while this thread builds the
+    suspect's n-gram histogram, and ``timings`` holds each detector's
+    own wall time, the two overlapping. With none (the default), EnTS
+    runs first. Either way an EnTS error is raised only after SLaMM has
+    run, and the verdict is the same.
     """
     ents_abstained = len(data) < ents_params.chunk_size
     slamm_abstained = len(data) < benign_model.n
@@ -163,20 +165,13 @@ def itect_classify(
             verdict = score >= trained_forest.cutoff
         return score, verdict, time.perf_counter() - t0
 
-    def run_slamm(zoo_map: Callable = map) -> tuple[slamm.SlammVerdict | None, float]:
-        sv = None
-        t0 = time.perf_counter()
-        if not slamm_abstained:
-            sv = slamm.slamm_classify(data, malware_models, benign_model, zoo_map)
-        return sv, time.perf_counter() - t0
-
-    if pool is None:
-        ents_score, ents_verdict, ents_s = run_ents()
-        sv, slamm_s = run_slamm()
-    else:
-        pending = pool.submit(run_ents)
-        sv, slamm_s = run_slamm(pool.map)
-        ents_score, ents_verdict, ents_s = pending.result()
+    pending = pool.submit(run_ents)
+    sv = None
+    t0 = time.perf_counter()
+    if not slamm_abstained:
+        sv = slamm.slamm_classify(data, malware_models, benign_model, pool.map)
+    slamm_s = time.perf_counter() - t0
+    ents_score, ents_verdict, ents_s = pending.result()
 
     return Verdict(
         digest=digest,

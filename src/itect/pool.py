@@ -4,7 +4,8 @@ NumPy releases the GIL in its array kernels, so one file's detectors,
 or a batch of entropy profiles, can run on several cores of one
 process. The calling thread claims work too, so a pool of ``threads``
 cores starts ``threads - 1`` threads: each new thread gets its own
-allocator arena, which holds that thread's high-water mark.
+allocator arena, which holds that thread's high-water mark. At one
+core there are no helpers, and the caller does every task in order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ R = TypeVar("R")
 
 
 class SharedPool:
-    """``helpers`` worker threads that share each :meth:`map` with its caller.
+    """``helpers`` worker threads that share each :meth:`map` with its
+    caller; with none, :meth:`submit` runs its function at once.
 
     A task must never wait on another task of the same pool: every
     helper may be busy, and the task it waits on would never start.
@@ -27,20 +29,28 @@ class SharedPool:
     """
 
     def __init__(self, helpers: int):
-        if helpers < 1:
-            raise ValueError("a shared pool needs at least one helper thread")
+        if helpers < 0:
+            raise ValueError(f"helpers must be at least 0, got {helpers}")
         self._helpers = helpers
-        self._executor = ThreadPoolExecutor(max_workers=helpers)
+        self._executor = ThreadPoolExecutor(max_workers=helpers) if helpers else None
 
     def __enter__(self) -> "SharedPool":
         return self
 
     def __exit__(self, *exc) -> None:
-        self._executor.shutdown(wait=True)
+        if self._executor:
+            self._executor.shutdown(wait=True)
 
     def submit(self, fn: Callable[[], R]) -> Future:
         """Run ``fn`` on a helper; its future holds the result or the error."""
-        return self._executor.submit(fn)
+        if self._executor:
+            return self._executor.submit(fn)
+        done: Future = Future()
+        try:
+            done.set_result(fn())
+        except Exception as exc:  # re-raised by result()
+            done.set_exception(exc)
+        return done
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """``[fn(x) for x in items]``, in order, computed by the caller and
@@ -49,7 +59,7 @@ class SharedPool:
         Each item is claimed from a queue by whichever thread is free, so
         a helper still busy with earlier work leaves the items to the
         others. The first error in item order is raised once every item
-        is done.
+        is done; a map that no helper shares stops at that error.
         """
         items = list(items)
         helpers = min(self._helpers, len(items) - 1)

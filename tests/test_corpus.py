@@ -241,6 +241,7 @@ class TestHexdump:
     @example("00000000\x0b4D\x0c5A")
     @example("00000000\x0c00000000 4D")
     @example("00000000\u30004D\u30005A")
+    @example("00000000 4D\ud800")
     def test_matches_token_decoder(self, text):
         self._check_against_token_decoder(text)
 
@@ -272,7 +273,7 @@ class TestHexdump:
         assert corpus.hexdump_to_bytes(text) == data
         # The plain layout decodes in runs of equal-length lines, never line
         # by line: the line with the colon, the body and the short last line.
-        assert corpus._decode_plain(text) == data
+        assert corpus._decode_plain(text.encode()) == data
 
     def test_decode_memory_is_a_few_times_the_text(self):
         data = np.random.default_rng(5).integers(0, 256, 1_500_000, np.uint8).tobytes()
@@ -293,8 +294,54 @@ class TestHexdump:
             lines.append(" ".join([f"{off:08X}", *pairs]))
             off += len(pairs)
         text = "\n".join(lines)
-        assert corpus._decode_plain(text) is None
+        assert corpus._decode_plain(text.encode()) is None
         assert corpus.hexdump_to_bytes(text) == token_decoder(text)
+
+
+class TestLoadSampleHexdump:
+    def test_load_memory_is_a_few_times_the_file(self, tmp_path):
+        # The file is read once, as bytes, and decoded from them: no text
+        # copy and no re-encoded copy of it are held beside the bytes.
+        data = np.random.default_rng(5).integers(0, 256, 1_500_000, np.uint8).tobytes()
+        path = tmp_path / "sample.bytes"
+        path.write_text(bytes_to_hexdump(data), encoding="ascii")
+        tracemalloc.start()
+        try:
+            assert corpus.load_sample(path) == data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * path.stat().st_size
+
+    @pytest.mark.parametrize("text", [
+        bytes_to_hexdump(bytes(range(256)) * 3),
+        "00000000 4D 5A\n00000002: 90\n\n00000003 ?? 01\n",
+        "00000000 4D 5A\n  \n00000002 90",
+    ])
+    def test_line_ends_do_not_change_the_bytes(self, tmp_path, text):
+        loaded = {}
+        for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.bytes"
+            path.write_bytes(text.replace("\n", end).encode("ascii"))
+            loaded[name] = corpus.load_sample(path)
+        assert loaded["lf"] == corpus.hexdump_to_bytes(text)
+        assert loaded["crlf"] == loaded["cr"] == loaded["lf"]
+        # Lone CRs keep the block decoder, as LF and CRLF do.
+        assert corpus._decode_plain(text.replace("\n", "\r").encode()) == loaded["lf"]
+
+    def test_line_ends_do_not_change_the_error_line(self, tmp_path):
+        text = "00000000 4D 5A\n\n00000002 4G\n"
+        for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / f"{name}.bytes"
+            path.write_bytes(text.replace("\n", end).encode("ascii"))
+            with pytest.raises(DataError, match="line 3: malformed hex pair '4G'"):
+                corpus.load_sample(path)
+
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "bad.bytes"
+        path.write_bytes(b"00000000 4D\n\xff\xfe 5A\n")
+        with pytest.raises(DataError, match="hexdump is not UTF-8 text"):
+            corpus.load_sample(path)
 
 
 class TestLoadSampleFuzz:

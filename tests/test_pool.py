@@ -96,6 +96,34 @@ def test_every_item_claimed_once_under_contention():
     assert tally == [50] * 200
 
 
-def test_needs_a_helper():
+def test_helper_count_may_not_be_negative():
     with pytest.raises(ValueError):
-        SharedPool(0)
+        SharedPool(-1)
+
+
+def test_no_helpers_maps_on_the_caller_in_order():
+    seen = []
+
+    def work(x):
+        seen.append((x, threading.get_ident()))
+        return x * x
+
+    with SharedPool(0) as pool:
+        assert pool.map(work, range(20)) == [x * x for x in range(20)]
+        assert pool.map(work, []) == []
+    assert seen == [(x, threading.get_ident()) for x in range(20)]
+
+
+def test_no_helpers_submit_returns_a_done_future():
+    def fail():
+        raise KeyError("x")
+
+    with SharedPool(0) as pool:
+        ran = []
+        done = pool.submit(lambda: ran.append(threading.get_ident()) or 42)
+        assert ran == [threading.get_ident()]
+        assert done.done() and done.result() == 42
+        failed = pool.submit(fail)
+        assert failed.done()
+        with pytest.raises(KeyError):
+            failed.result()

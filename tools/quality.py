@@ -1,4 +1,4 @@
-"""Detection quality of in-process trained models on perfbench's corpora.
+"""Detection quality of CLI-trained models on perfbench's corpora.
 
     python3 tools/quality.py --out QUALITY.json
     python3 tools/quality.py --seeds 1 2 3 --files 600 --out q.json
@@ -6,12 +6,14 @@
 Run it from the root of a source checkout. Without ``--seeds`` and
 ``--files`` it sweeps seeds 1-10 at 180 files and seeds 1-3 at 600.
 For each seed and size it builds perfbench's synthetic corpus
-(``perfbench/run.py``'s ``build_corpus``), trains in this process as
-perfbench's ``train`` workload does through the CLI (EnTS with alpha
-auto, chunk 256, tau 0.5 and prune cutoff 0.8; a 100-tree forest at the
-seed, calibrated out of bag; one trigram zoo per malware category and
-one benign zoo), classifies the held-out files with
-``pipeline.itect_classify`` and records:
+(``perfbench/run.py``'s ``build_corpus``), trains with ``cli.run`` into
+a temporary directory, as perfbench's ``train`` workload does (``itect
+ents`` on the train split with alpha auto, chunk 256 and tau 0.5;
+``itect train`` with prune cutoff 0.8 and a 100-tree forest at the
+seed, calibrated out of bag; ``itect slamm-train`` of one trigram zoo
+per malware category and one benign zoo), loads those artifacts,
+classifies the held-out files with ``pipeline.itect_classify`` and
+records:
 
 * TP and FP of EnTS, cx, cd, cmse, SLaMM overall and the combined
   verdict, and the combined precision and recall as perfbench computes
@@ -30,6 +32,7 @@ The 180-file corpora are checked against perfbench's pinned digests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import sys
@@ -38,8 +41,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import numpy as np  # noqa: E402
 
 from itect import cli, corpus, ents, forest, pipeline, slamm  # noqa: E402
 from run import (  # noqa: E402
@@ -51,39 +52,38 @@ CHUNK, TAU, PRUNE_CUTOFF, ORDER = 256, 0.5, 0.8, 3
 DETECTORS = ("ents", "cx", "cd", "cmse", "slamm", "itect")
 
 
-def train_ents(train: list, seed: int) -> tuple[ents.EntsParams, forest.TrainedForest]:
-    sizes = {label: [e.size_bytes for e in train if e.label == label]
-             for label in corpus.LABELS}
-    alpha = ents.compute_alpha(sizes["malware"], sizes["benign"], CHUNK)
-    params = ents.EntsParams(chunk_size=CHUNK, alpha=alpha, tau=TAU)
-    matrix = ents.FeatureMatrix(
-        rows=np.array([ents.entropy_profile(corpus.load_sample(e.path), params).values
-                       for e in train]),
-        col_index=list(range(params.n_points)),
-        labels=[e.label for e in train],
-    )
-    pruned = ents.prune_correlated(matrix, cutoff=PRUNE_CUTOFF)
-    trained = forest.calibrate_zero_fp(
-        pruned.rows, [int(label == "malware") for label in pruned.labels],
-        forest.ForestConfig(trees=TREES, seed=seed), feature_cols=pruned.col_index,
-    )
-    return params, trained
-
-
-def train_zoo(train: list, category: str) -> slamm.NgramModel:
-    """The zoo ``itect slamm-train --category`` trains on the train split."""
-    return slamm.NgramModel.train(
-        (corpus.load_sample(e.path) for e in cli._zoo_documents(train, category, None)),
-        n=ORDER, zoo_id=category,
-    )
+def train(data, seed: int, models: Path) -> None:
+    """The models of perfbench's ``train`` workload, trained by the CLI."""
+    manifest = str(data.manifest)
+    steps = [
+        ["ents", "--manifest", manifest, "--split", "train", "--alpha", "auto",
+         "--chunk", str(CHUNK), "--tau", str(TAU), "--out", str(models / "train.csv"),
+         "--params-out", str(models / "ents-params.json")],
+        ["train", "--features", str(models / "train.csv"), "--trees", str(TREES),
+         "--prune-cutoff", str(PRUNE_CUTOFF), "--seed", str(seed),
+         "--out", str(models / "ents.forest")],
+    ] + [
+        ["slamm-train", "--manifest", manifest, "--category", zoo, "--split", "train",
+         "--n", str(ORDER), "--out", str(models / f"{zoo}.slmm")]
+        for zoo in (*ZOOS, "benign")
+    ]
+    for step in steps:
+        with contextlib.redirect_stdout(sys.stderr):  # stderr holds the progress
+            code = cli.run(step)
+        if code != 0:
+            raise SystemExit(f"itect {step[0]} exited {code}")
 
 
 def sweep_one(seed: int, files: int, work: Path) -> dict:
-    data = build_corpus(seed, files, work)
+    data = build_corpus(seed, files, work / "corpus")
     check_pin(seed, files, data.digest)
-    params, trained = train_ents(data.train, seed)
-    zoos = [train_zoo(data.train, z) for z in ZOOS]
-    benign_zoo = train_zoo(data.train, "benign")
+    models = work / "models"
+    models.mkdir()
+    train(data, seed, models)
+    params = ents.EntsParams.load(models / "ents-params.json")
+    trained = forest.TrainedForest.load(models / "ents.forest")
+    zoos = [slamm.NgramModel.load(models / f"{z}.slmm") for z in ZOOS]
+    benign_zoo = slamm.NgramModel.load(models / "benign.slmm")
     tp, fp = dict.fromkeys(DETECTORS, 0), dict.fromkeys(DETECTORS, 0)
     decisions, benign_scores = {}, []
     for e in data.held:
