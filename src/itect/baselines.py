@@ -2,8 +2,8 @@
 
 The compressor sits behind a small spec keyed by algorithm id so that
 golden values stay pinned per algorithm. The default is LZMA2 at
-maximum level with the dictionary capped to a memory-safe size (the
-cap is recorded on the spec).
+maximum level with its dictionary fixed at ``LZMA_DICT_CAP``, a
+memory-safe size.
 """
 
 from __future__ import annotations
@@ -26,15 +26,10 @@ LZMA_DICT_CAP = 1 << 26
 class CompressorSpec:
     algorithm_id: str = "lzma2"
     level: int = 9
-    dict_size: int = 1 << 32
 
     def __post_init__(self):
         if self.algorithm_id not in ("lzma2", "zlib"):
             raise DataError(f"unknown compressor {self.algorithm_id!r}")
-
-    @property
-    def effective_dict_size(self) -> int:
-        return min(self.dict_size, LZMA_DICT_CAP)
 
     def compress(self, data: bytes) -> bytes:
         if self.algorithm_id == "zlib":
@@ -43,7 +38,7 @@ class CompressorSpec:
             {
                 "id": lzma.FILTER_LZMA2,
                 "preset": self.level | lzma.PRESET_EXTREME,
-                "dict_size": self.effective_dict_size,
+                "dict_size": LZMA_DICT_CAP,
             }
         ]
         return lzma.compress(data, format=lzma.FORMAT_XZ, filters=filters)

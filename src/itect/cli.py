@@ -39,17 +39,27 @@ def _count_or_auto(value: str) -> str:
     return value
 
 
-def _at_least(kind: type, low: float, high: float = math.inf):
+def _alpha(value: str) -> str:
+    """Check an ``--alpha`` value: 'auto' or an integer in [1, ``ents.MAX_ALPHA``]."""
+    if _count_or_auto(value) != "auto":
+        _at_least(int, 1, ents.MAX_ALPHA)(value)
+    return value
+
+
+def _at_least(kind: type, low: float, high: float = math.inf, strict: bool = False):
     """An argparse ``type``: text that parses as ``kind`` and is >= ``low``
-    (and <= ``high``)."""
+    (and <= ``high``), or with ``strict`` lies strictly between them."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not low <= value <= high:
-            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        if value is None or not (low < value < high if strict else low <= value <= high):
+            if strict:
+                bound = f"in ({low}, {high})"
+            else:
+                bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(
                 f"expected {kind.__name__} {bound}, got {text!r}"
             )
@@ -187,7 +197,7 @@ def _cmd_ents(args) -> int:
 
     def profile_of(entry):
         data = corpus.load_sample(entry.path)
-        return ents.entropy_profile(data, params, source_digest=entry.digest).values
+        return ents.entropy_profile(data, params)
 
     with _shared_pool(args) as pool:
         rows = pool.map(profile_of, entries)
@@ -493,14 +503,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="assign stratified train/validation/test splits")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--train", type=float, default=2 / 3)
+    p.add_argument("--train", type=_at_least(float, 0, 1, strict=True), default=2 / 3)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("ents", help="compute entropy-profile features")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--alpha", type=_count_or_auto, default="auto")
+    p.add_argument("--alpha", type=_alpha, default="auto")
     p.add_argument("--chunk", type=_at_least(int, 1), default=256)
     p.add_argument("--tau", type=_at_least(float, 0), default=0.5)
     p.add_argument("--split", default=None, choices=corpus.SPLITS)
@@ -571,8 +581,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--profile", required=True, choices=synth.PROFILES)
     p.add_argument("--count", type=_at_least(int, 1), required=True)
-    p.add_argument("--size-min", type=int, default=65536)
-    p.add_argument("--size-max", type=int, default=131072)
+    p.add_argument("--size-min", type=_at_least(int, 1), default=65536)
+    p.add_argument("--size-max", type=_at_least(int, 1), default=131072)
     p.add_argument("--seed", type=_at_least(int, 0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest-out")

@@ -147,8 +147,8 @@ def scan_directory(
 
     Unreadable files are skipped; a message per skip is appended to
     ``diagnostics`` when provided. An empty directory yields an empty
-    manifest. Splits start as a "train" placeholder with the manifest
-    flagged for re-splitting.
+    manifest. Every split starts as a "train" placeholder, which
+    ``split_manifest`` (``itect split``) replaces.
     """
     root = Path(root)
     if not root.is_dir():

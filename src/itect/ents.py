@@ -1,15 +1,15 @@
 """Entropy-time-series features.
 
-Each file becomes a fixed-length vector: per-chunk Shannon entropies,
-resampled to N = 2^alpha points, denoised through a discrete Haar
-wavelet transform (threshold the detail coefficients, reconstruct).
-A correlation-pruning pass removes redundant dimensions before any
-learning happens.
+Each file becomes a fixed-length float64 array: per-chunk Shannon
+entropies, resampled to N = 2^alpha points, denoised through a discrete
+Haar wavelet transform (threshold the detail coefficients, reconstruct).
+The transform's coefficients are a plain array too, laid out as the
+scale, then the details, coarsest first. A correlation-pruning pass
+removes redundant dimensions before any learning happens.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -20,6 +20,10 @@ import numpy as np
 from .errors import DataError
 
 SQRT2 = math.sqrt(2.0)
+
+# The largest alpha whose 2^alpha-point float64 profile NumPy can size:
+# its 8 << alpha bytes may not exceed the largest intp (alpha 59 on 64-bit).
+MAX_ALPHA = np.iinfo(np.intp).max.bit_length() - 4
 
 
 @dataclass(frozen=True)
@@ -35,9 +39,9 @@ class EntsParams:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        if self.tau < 0:
+        if not 1 <= self.alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha must be in [1, {MAX_ALPHA}]")
+        if not self.tau >= 0:
             raise ValueError("tau must be >= 0")
 
     @classmethod
@@ -54,35 +58,6 @@ class EntsParams:
     @property
     def n_points(self) -> int:
         return 1 << self.alpha
-
-
-@dataclass(frozen=True)
-class EntropyProfile:
-    values: np.ndarray
-    source_digest: str
-    params: EntsParams
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.params.n_points,):
-            raise ValueError("profile length must be 2^alpha")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("profile contains non-finite values")
-
-
-@dataclass(frozen=True)
-class HaarCoefficients:
-    """Full Haar decomposition, laid out (scale | details, coarse first)."""
-
-    coeffs: np.ndarray
-    levels: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        object.__setattr__(self, "coeffs", c)
-        if c.shape != (1 << self.levels,):
-            raise ValueError("coefficient count must be 2^levels")
 
 
 @dataclass
@@ -118,21 +93,23 @@ def chunk_entropies(data: bytes, chunk_size: int) -> np.ndarray:
     The final partial chunk is measured over its actual bytes. Full
     chunks are counted a block at a time, each count looked up in a
     table of p * log2(p) at p = count / chunk_size, so no temporary
-    grows with the file.
+    grows with the file. The table is built only when a full chunk
+    exists, so it is never longer than the file plus one entry.
     """
     if len(data) == 0:
         raise DataError("empty file")
     arr = np.frombuffer(data, dtype=np.uint8)
     n_full = len(arr) // chunk_size
     out = np.empty(-(-len(arr) // chunk_size))
-    per_block = max(1, _ENTROPY_BLOCK // chunk_size)
-    table = _plogp(np.arange(chunk_size + 1) / chunk_size)
-    bins = np.arange(min(per_block, n_full) * chunk_size) // chunk_size * 256
-    for first in range(0, n_full, per_block):
-        m = min(per_block, n_full - first)
-        block = arr[first * chunk_size : (first + m) * chunk_size]
-        counts = np.bincount(bins[: len(block)] + block, minlength=m * 256)
-        out[first : first + m] = -table[counts.reshape(m, 256)].sum(axis=1)
+    if n_full:
+        per_block = max(1, _ENTROPY_BLOCK // chunk_size)
+        table = _plogp(np.arange(chunk_size + 1) / chunk_size)
+        bins = np.arange(min(per_block, n_full) * chunk_size) // chunk_size * 256
+        for first in range(0, n_full, per_block):
+            m = min(per_block, n_full - first)
+            block = arr[first * chunk_size : (first + m) * chunk_size]
+            counts = np.bincount(bins[: len(block)] + block, minlength=m * 256)
+            out[first : first + m] = -table[counts.reshape(m, 256)].sum(axis=1)
     tail = arr[n_full * chunk_size :]
     if len(tail):
         out[-1] = -_plogp(np.bincount(tail, minlength=256) / len(tail)).sum()
@@ -180,15 +157,18 @@ def select_chunk_indices(num_chunks: int, n_points: int) -> np.ndarray:
     return k * (num_chunks - 1) // (n_points - 1)
 
 
-def haar_forward(series: np.ndarray) -> HaarCoefficients:
-    """Full orthonormal Haar decomposition of a power-of-two series."""
-    x = np.asarray(series, dtype=np.float64)
+def _check_haar_length(x: np.ndarray) -> None:
     n = len(x)
     if n < 2 or n & (n - 1):
         raise ValueError("series length must be a power of two >= 2")
-    w = x.copy()
-    m = n
-    levels = 0
+
+
+def haar_forward(series: np.ndarray) -> np.ndarray:
+    """Full orthonormal Haar decomposition of a power-of-two series: the
+    scale coefficient, then the details, coarsest first."""
+    w = np.array(series, dtype=np.float64)
+    _check_haar_length(w)
+    m = len(w)
     while m > 1:
         even = w[0:m:2]
         odd = w[1:m:2]
@@ -197,26 +177,28 @@ def haar_forward(series: np.ndarray) -> HaarCoefficients:
         w[: m // 2] = s
         w[m // 2 : m] = d
         m //= 2
-        levels += 1
-    return HaarCoefficients(coeffs=w, levels=levels)
+    return w
 
 
-def denoise(coeffs: HaarCoefficients, tau: float) -> HaarCoefficients:
-    """Zero detail coefficients with magnitude below ``tau``.
+def denoise(coeffs: np.ndarray, tau: float) -> np.ndarray:
+    """A copy of ``coeffs`` with detail coefficients of magnitude below
+    ``tau`` zeroed.
 
     The top-level scale coefficient (index 0) is never zeroed.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
-    w = coeffs.coeffs.copy()
+    w = np.array(coeffs, dtype=np.float64)
     detail = w[1:]
     detail[np.abs(detail) < tau] = 0.0
-    return HaarCoefficients(coeffs=w, levels=coeffs.levels)
+    return w
 
 
-def haar_inverse(coeffs: HaarCoefficients) -> np.ndarray:
-    """Reconstruct the series from a full Haar decomposition."""
-    w = coeffs.coeffs.copy()
+def haar_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Reconstruct the series from a full Haar decomposition laid out as
+    ``haar_forward`` returns it."""
+    w = np.array(coeffs, dtype=np.float64)
+    _check_haar_length(w)
     n = len(w)
     m = 1
     while m < n:
@@ -228,20 +210,12 @@ def haar_inverse(coeffs: HaarCoefficients) -> np.ndarray:
     return w
 
 
-def entropy_profile(
-    data: bytes,
-    params: EntsParams,
-    source_digest: str | None = None,
-) -> EntropyProfile:
-    """Denoised fixed-length entropy profile of one file."""
+def entropy_profile(data: bytes, params: EntsParams) -> np.ndarray:
+    """Denoised entropy profile of one file: ``params.n_points`` float64
+    values."""
     ents = chunk_entropies(data, params.chunk_size)
-    idx = select_chunk_indices(len(ents), params.n_points)
-    series = ents[idx]
-    coeffs = haar_forward(series)
-    values = haar_inverse(denoise(coeffs, params.tau))
-    if source_digest is None:
-        source_digest = hashlib.sha256(data).hexdigest()
-    return EntropyProfile(values=values, source_digest=source_digest, params=params)
+    series = ents[select_chunk_indices(len(ents), params.n_points)]
+    return haar_inverse(denoise(haar_forward(series), params.tau))
 
 
 def write_feature_csv(matrix: FeatureMatrix, path) -> None:

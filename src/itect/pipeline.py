@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
-import numpy as np
-
 from . import ents, forest as forest_mod, slamm
 from .errors import DataError
 from .pool import SharedPool
@@ -157,8 +155,8 @@ def itect_classify(
         score, verdict = 0.0, False
         t0 = time.perf_counter()
         if not ents_abstained:
-            profile = ents.entropy_profile(data, ents_params, source_digest=digest)
-            row = profile.values[trained_forest.feature_cols]
+            profile = ents.entropy_profile(data, ents_params)
+            row = profile[trained_forest.feature_cols]
             score = forest_mod.score(trained_forest, row)
             if trained_forest.cutoff is None:
                 raise DataError("forest is not calibrated")
@@ -206,23 +204,22 @@ def prevalence_sweep(
     labels: dict[str, str],
     malware_fractions: Sequence[float],
     seed: int,
-    sample_size: int | None = None,
 ) -> list[EvalReport]:
     """Evaluate one model pair at varying malware prevalence.
 
     Verdicts are computed once by the caller; each prevalence point is
-    a seeded without-replacement sample of the verdict pools, sized so
-    the malware share of the sample equals the requested fraction.
+    a seeded without-replacement sample of the verdict pools, as large
+    as the benign pool, whose malware share equals the requested
+    fraction.
     """
-    if sample_size is None:
-        sample_size = len(benign_verdicts)
+    sample_size = len(benign_verdicts)
     reports = []
     for frac in malware_fractions:
         if not 0 <= frac <= 0.5:
             raise DataError("malware fractions must lie in [0, 0.5]")
         n_mal = round(frac * sample_size)
         n_ben = sample_size - n_mal
-        if n_ben > len(benign_verdicts) or n_mal > len(malware_verdicts):
+        if n_mal > len(malware_verdicts):
             raise DataError("not enough verdicts for requested prevalence")
         rng = random.Random(f"{seed}:{frac}")
         sample = rng.sample(list(benign_verdicts), n_ben) + rng.sample(

@@ -53,12 +53,12 @@ def test_criterion_1_golden_wavelet(capsys):
         # Reference vectors round to one decimal except the leading
         # scale coefficient, printed as 7 though it is exactly
         # 20/sqrt(8) = 7.0711; it gets the matching wider bound.
-        assert abs(coeffs.coeffs[0] - GOLDEN_WAVELET[0]) <= 0.075
-        np.testing.assert_allclose(coeffs.coeffs[1:], GOLDEN_WAVELET[1:], atol=0.05)
+        assert abs(coeffs[0] - GOLDEN_WAVELET[0]) <= 0.075
+        np.testing.assert_allclose(coeffs[1:], GOLDEN_WAVELET[1:], atol=0.05)
 
         denoised = ents.denoise(coeffs, 0.75)
-        assert abs(denoised.coeffs[0] - GOLDEN_DENOISED[0]) <= 0.075
-        np.testing.assert_allclose(denoised.coeffs[1:], GOLDEN_DENOISED[1:], atol=0.05)
+        assert abs(denoised[0] - GOLDEN_DENOISED[0]) <= 0.075
+        np.testing.assert_allclose(denoised[1:], GOLDEN_DENOISED[1:], atol=0.05)
 
         recon = ents.haar_inverse(denoised)
         np.testing.assert_allclose(recon, GOLDEN_RECONSTRUCTION, atol=0.05)
@@ -117,9 +117,7 @@ def pipeline_run(tmp_path_factory):
 
     rows = np.array(
         [
-            ents.entropy_profile(
-                corpus.load_sample(e.path), params, source_digest=e.digest
-            ).values
+            ents.entropy_profile(corpus.load_sample(e.path), params)
             for e in train
         ]
     )
@@ -231,7 +229,7 @@ def test_criterion_4_property_suites(capsys):
             x = rng.uniform(-10, 10, n)
             c = ents.haar_forward(x)
             assert np.max(np.abs(ents.haar_inverse(c) - x)) <= 1e-9
-            ex, ec = float((x**2).sum()), float((c.coeffs**2).sum())
+            ex, ec = float((x**2).sum()), float((c**2).sum())
             assert abs(ex - ec) <= 1e-9 * max(ex, 1.0)
 
         # kld(p, p) = 0 and kld >= 0 on 1,000 nested-support pairs
@@ -310,7 +308,7 @@ def test_criterion_6_scalability(scaling_files, capsys):
         files = scaling_files
         params = ents.EntsParams(chunk_size=256, alpha=4, tau=0.5)
         rows = np.array(
-            [ents.entropy_profile(f, params).values for f in files[:60]]
+            [ents.entropy_profile(f, params) for f in files[:60]]
         )
         labels = [0 if i % 2 == 0 else 1 for i in range(60)]
         trained = forest.calibrate_zero_fp(

@@ -17,14 +17,6 @@ class TestCompressorSpec:
         with pytest.raises(DataError):
             baselines.CompressorSpec(algorithm_id="brotli")
 
-    def test_dict_size_capped(self):
-        spec = baselines.CompressorSpec(dict_size=1 << 32)
-        assert spec.effective_dict_size == baselines.LZMA_DICT_CAP
-
-    def test_small_dict_not_raised(self):
-        spec = baselines.CompressorSpec(dict_size=1 << 20)
-        assert spec.effective_dict_size == 1 << 20
-
     @pytest.mark.parametrize("spec", [baselines.CompressorSpec(), ZLIB])
     def test_lossless(self, spec):
         rng = np.random.default_rng(0)

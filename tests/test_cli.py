@@ -79,15 +79,6 @@ class TestExitCodes:
         assert rc == 2
         assert "itect: data error" in capsys.readouterr().err
 
-    def test_bad_fraction_is_data_error(self, workspace, capsys):
-        rc = run(
-            "split", "--manifest", str(workspace["manifest"]),
-            "--train", "1.5", "--seed", "1",
-            "--out", str(workspace["root"] / "ignored.jsonl"),
-        )
-        assert rc == 2
-        assert "data error" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command,bad",
         [
@@ -282,6 +273,17 @@ class TestPipelineCommands:
             "--split", "train", "--out", str(out),
         )
         assert rc == 0
+
+    def test_chunk_longer_than_every_file(self, workspace, tmp_path):
+        # Each file is one partial chunk, so its profile is flat.
+        out = tmp_path / "f.csv"
+        rc = run(
+            "ents", "--manifest", str(workspace["manifest"]), "--split", "train",
+            "--alpha", "3", "--chunk", str(10**20), "--out", str(out),
+        )
+        assert rc == 0
+        rows = ents.read_feature_csv(out).rows
+        np.testing.assert_allclose(rows, rows[:, :1].repeat(8, axis=1))
 
     def test_alpha_auto_names_the_missing_label(self, tmp_path, capsys):
         manifest = tmp_path / "benign.jsonl"
@@ -743,6 +745,17 @@ class TestPipelineCommands:
         assert self._classify(trained, tmp_path / "v.jsonl", good, params=bad) == 2
         assert "itect: data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("alpha", 64), ("tau", float("nan"))])
+    def test_params_out_of_range(self, workspace, trained, tmp_path, capsys, field, value):
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        doc = json.loads(trained["params"].read_text())
+        doc[field] = value
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps(doc))
+        assert self._classify(trained, tmp_path / "v.jsonl", good, params=bad) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("itect: data error")
+
     def test_folds_flag_changes_nothing(self, trained, tmp_path):
         # The fixture's forest was trained the same way with --folds 3.
         out = tmp_path / "forest.json"
@@ -768,6 +781,7 @@ class TestPipelineCommands:
     [
         ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--alpha", "abc"],
         ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--alpha", "0"],
+        ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--alpha", "64"],
         ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--chunk", "0"],
         ["ents", "--manifest", "{manifest}", "--out", "{tmp}/f.csv", "--tau", "-1"],
         ["train", "--features", "{features}", "--seed", "0", "--out", "{tmp}/t",
@@ -799,6 +813,12 @@ class TestPipelineCommands:
          "--count", "-1"],
         ["synth", "--profile", "benign_like", "--count", "1", "--out", "{tmp}/s",
          "--seed", "-1"],
+        ["synth", "--profile", "benign_like", "--count", "1", "--seed", "1",
+         "--out", "{tmp}/s", "--size-min", "0"],
+        ["synth", "--profile", "benign_like", "--count", "1", "--seed", "1",
+         "--out", "{tmp}/s", "--size-max", "0"],
+        ["split", "--manifest", "{manifest}", "--seed", "1", "--train", "1.5"],
+        ["split", "--manifest", "{manifest}", "--seed", "1", "--train", "0"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -71,6 +71,24 @@ class TestChunkEntropies:
         with pytest.raises(DataError, match="empty"):
             ents.chunk_entropies(b"", 256)
 
+    def test_chunk_larger_than_any_file(self):
+        # No full chunk: the whole file is the partial one, and no table
+        # of chunk_size + 1 entries is built.
+        assert ents.chunk_entropies(b"abc", 10**20) == pytest.approx([np.log2(3)])
+
+
+class TestEntsParams:
+    def test_largest_sizable_alpha(self):
+        assert ents.EntsParams(alpha=ents.MAX_ALPHA).n_points == 1 << ents.MAX_ALPHA
+        assert 8 << ents.MAX_ALPHA <= np.iinfo(np.intp).max < 8 << (ents.MAX_ALPHA + 1)
+        with pytest.raises(ValueError, match="alpha"):
+            ents.EntsParams(alpha=ents.MAX_ALPHA + 1)
+
+    @pytest.mark.parametrize("tau", [-0.5, float("nan")])
+    def test_tau_must_be_at_least_zero(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            ents.EntsParams(tau=tau)
+
 
 class TestComputeAlpha:
     def test_paper_instantiation(self):
@@ -117,13 +135,13 @@ class TestHaar:
         # coefficient (exactly 20/sqrt(8) = 7.0711) appears as 7, so the
         # tightest uniform tolerance is 0.075.
         c = ents.haar_forward(GOLDEN_SERIES)
-        np.testing.assert_allclose(c.coeffs, GOLDEN_WAVELET, atol=0.075)
+        np.testing.assert_allclose(c, GOLDEN_WAVELET, atol=0.075)
 
     def test_constant_vector(self):
         k = 3.7
         c = ents.haar_forward(np.full(8, k))
-        np.testing.assert_allclose(c.coeffs[0], k * np.sqrt(8), atol=1e-12)
-        np.testing.assert_allclose(c.coeffs[1:], 0, atol=1e-12)
+        np.testing.assert_allclose(c[0], k * np.sqrt(8), atol=1e-12)
+        np.testing.assert_allclose(c[1:], 0, atol=1e-12)
 
     def test_round_trip_length_16(self):
         rng = np.random.default_rng(7)
@@ -136,18 +154,23 @@ class TestHaar:
         with pytest.raises(ValueError):
             ents.haar_forward(np.zeros(6))
 
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_inverse_non_power_of_two_rejected(self, n):
+        with pytest.raises(ValueError):
+            ents.haar_inverse(np.zeros(n))
+
     def test_denoise_golden(self):
-        c = ents.HaarCoefficients(coeffs=GOLDEN_WAVELET.copy(), levels=3)
-        np.testing.assert_allclose(ents.denoise(c, 0.75).coeffs, GOLDEN_DENOISED)
+        c = GOLDEN_WAVELET.copy()
+        np.testing.assert_allclose(ents.denoise(c, 0.75), GOLDEN_DENOISED)
 
     def test_denoise_tau_zero_identity(self):
         c = ents.haar_forward(GOLDEN_SERIES)
-        np.testing.assert_array_equal(ents.denoise(c, 0.0).coeffs, c.coeffs)
+        np.testing.assert_array_equal(ents.denoise(c, 0.0), c)
 
     def test_denoise_tau_inf_keeps_only_scale(self):
         c = ents.haar_forward(GOLDEN_SERIES)
-        out = ents.denoise(c, np.inf).coeffs
-        assert out[0] == c.coeffs[0]
+        out = ents.denoise(c, np.inf)
+        assert out[0] == c[0]
         assert np.all(out[1:] == 0)
 
     def test_inverse_golden(self):
@@ -159,13 +182,13 @@ class TestHaar:
         )
 
     def test_inverse_of_rounded_coefficients(self):
-        c = ents.HaarCoefficients(coeffs=GOLDEN_DENOISED.copy(), levels=3)
+        c = GOLDEN_DENOISED.copy()
         np.testing.assert_allclose(
             ents.haar_inverse(c), GOLDEN_RECONSTRUCTION, atol=0.06
         )
 
     def test_inverse_of_zeros(self):
-        c = ents.HaarCoefficients(coeffs=np.zeros(8), levels=3)
+        c = np.zeros(8)
         np.testing.assert_array_equal(ents.haar_inverse(c), np.zeros(8))
 
     @settings(max_examples=200)
@@ -182,7 +205,7 @@ class TestHaar:
         np.testing.assert_allclose(ents.haar_inverse(c), x, atol=1e-9)
         # orthonormal transform preserves energy
         np.testing.assert_allclose(
-            (c.coeffs**2).sum(), (x**2).sum(), rtol=1e-9, atol=1e-9
+            (c**2).sum(), (x**2).sum(), rtol=1e-9, atol=1e-9
         )
 
 
@@ -192,12 +215,12 @@ class TestEntropyProfile:
         data = b"".join(chunk_with_entropy(b) for b in [4, 5, 4, 1, 1, 2, 1, 2])
         params = ents.EntsParams(chunk_size=256, alpha=3, tau=0.75)
         profile = ents.entropy_profile(data, params)
-        np.testing.assert_allclose(profile.values, GOLDEN_RECONSTRUCTION, atol=0.05)
+        np.testing.assert_allclose(profile, GOLDEN_RECONSTRUCTION, atol=0.05)
 
     def test_constant_file(self):
         params = ents.EntsParams(chunk_size=256, alpha=3, tau=0.5)
         profile = ents.entropy_profile(b"\x00" * 2048, params)
-        np.testing.assert_allclose(profile.values, 0, atol=1e-12)
+        np.testing.assert_allclose(profile, 0, atol=1e-12)
 
     def test_uniform_random_file_near_eight(self):
         # 4 KiB chunks keep the plug-in entropy bias under 0.05 bits, so
@@ -206,7 +229,7 @@ class TestEntropyProfile:
         params = ents.EntsParams(chunk_size=4096, alpha=3, tau=0.5)
         data = rng.integers(0, 256, 8 * 4096).astype(np.uint8).tobytes()
         profile = ents.entropy_profile(data, params)
-        assert np.all(np.abs(profile.values - 8.0) < 0.2)
+        assert np.all(np.abs(profile - 8.0) < 0.2)
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -214,8 +237,7 @@ class TestEntropyProfile:
         params = ents.EntsParams(chunk_size=256, alpha=4, tau=0.5)
         a = ents.entropy_profile(data, params)
         b = ents.entropy_profile(data, params)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.source_digest == b.source_digest
+        np.testing.assert_array_equal(a, b)
 
     def test_profile_bounds_random_inputs(self):
         rng = np.random.default_rng(13)
@@ -224,8 +246,8 @@ class TestEntropyProfile:
             size = int(rng.integers(1, 20000))
             data = rng.integers(0, 256, size).astype(np.uint8).tobytes()
             profile = ents.entropy_profile(data, params)
-            assert np.all(profile.values >= -1e-6)
-            assert np.all(profile.values <= 8 + 1e-6)
+            assert np.all(profile >= -1e-6)
+            assert np.all(profile <= 8 + 1e-6)
 
 
 def _matrix(cols, labels=None):

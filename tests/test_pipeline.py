@@ -138,18 +138,18 @@ class TestPrevalenceSweep:
         return benign, malware, labels
 
     def test_prevalence_matches_request(self):
-        benign, malware, labels = self._pools()
+        benign, malware, labels = self._pools(n=200)
         reports = pipeline.prevalence_sweep(
-            benign, malware, labels, [0.0, 0.1, 0.5], seed=1, sample_size=200
+            benign, malware, labels, [0.0, 0.1, 0.5], seed=1
         )
         for frac, r in zip([0.0, 0.1, 0.5], reports):
             assert r.total == 200
             assert r.tp + r.fn == round(frac * 200)
 
     def test_zero_fp_keeps_precision_one(self):
-        benign, malware, labels = self._pools(fp_prob=0.0)
+        benign, malware, labels = self._pools(fp_prob=0.0, n=200)
         reports = pipeline.prevalence_sweep(
-            benign, malware, labels, [0.05, 0.25, 0.5], seed=2, sample_size=200
+            benign, malware, labels, [0.05, 0.25, 0.5], seed=2
         )
         assert all(r.precision == 1.0 for r in reports)
 
@@ -165,11 +165,11 @@ class TestPrevalenceSweep:
             pipeline.prevalence_sweep(benign, malware, labels, [0.6], seed=0)
 
     def test_pool_exhaustion(self):
-        benign, malware, labels = self._pools(n=10)
+        # Half of a 100-verdict sample is malware, and the pool holds 10.
+        benign, _, labels = self._pools(n=100)
+        malware = self._pools(n=10)[1]
         with pytest.raises(DataError):
-            pipeline.prevalence_sweep(
-                benign, malware, labels, [0.5], seed=0, sample_size=100
-            )
+            pipeline.prevalence_sweep(benign, malware, labels, [0.5], seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +187,7 @@ def tiny_detectors():
     malware_files = [rng.integers(0, 256, 4096).astype(np.uint8).tobytes()
                      for _ in range(12)]
     rows = np.array(
-        [ents.entropy_profile(f, params).values for f in benign_files + malware_files]
+        [ents.entropy_profile(f, params) for f in benign_files + malware_files]
     )
     labels = [0] * 12 + [1] * 12
     f = forest.calibrate_zero_fp(
