@@ -423,10 +423,13 @@ def _cmd_sweep(args) -> int:
     verdicts = _read_verdicts(args.verdicts)
     manifest = corpus.CorpusManifest.load(args.manifest)
     labels = {e.digest: e.label for e in manifest}
-    benign = [v for v in verdicts if labels.get(v.digest) == "benign"]
-    malware = [v for v in verdicts if labels.get(v.digest) == "malware"]
+    pools = {label: [] for label in corpus.LABELS}
+    for v in verdicts:
+        if v.digest not in labels:
+            raise DataError(f"no label for digest {v.digest}")
+        pools[labels[v.digest]].append(v)
     reports = pipeline.prevalence_sweep(
-        benign, malware, labels, args.fractions, seed=args.seed
+        pools["benign"], pools["malware"], labels, args.fractions, seed=args.seed
     )
     payload = {
         "points": [

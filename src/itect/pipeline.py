@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import json
 import random
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 from . import ents, forest as forest_mod, slamm
 from .errors import DataError
 from .pool import SharedPool
+
+
+# The JSON types of a verdict line's fields other than "slamm", whose
+# flags are booleans too. Types are matched exactly, so a boolean is no score.
+_FIELD_TYPES = {"digest": (str,), "ents_score": (int, float)} | dict.fromkeys(
+    ("ents_verdict", "itect_verdict", "ents_abstained", "slamm_abstained"), (bool,)
+)
+_SLAMM_FLAGS = ("cx", "cd", "cmse", "overall")
 
 
 @dataclass
@@ -28,7 +35,6 @@ class Verdict:
     itect_verdict: bool
     ents_abstained: bool = False
     slamm_abstained: bool = False
-    timings: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -40,16 +46,13 @@ class Verdict:
         try:
             d = json.loads(line)
             sv = None if d["slamm"] is None else slamm.SlammVerdict(**d["slamm"])
-            return cls(
-                digest=d["digest"],
-                ents_verdict=d["ents_verdict"],
-                ents_score=d["ents_score"],
-                slamm_verdict=sv,
-                itect_verdict=d["itect_verdict"],
-                ents_abstained=d["ents_abstained"],
-                slamm_abstained=d["slamm_abstained"],
-                timings=d.get("timings", {}),
-            )
+            typed = [(key, d[key], types) for key, types in _FIELD_TYPES.items()]
+            typed += [(key, d["slamm"][key], (bool,)) for key in _SLAMM_FLAGS if sv]
+            for key, value, types in typed:
+                if type(value) not in types:
+                    raise TypeError(f"{key} has type {type(value).__name__}")
+            # Other keys, such as the wall times older builds wrote, are ignored.
+            return cls(slamm_verdict=sv, **{key: d[key] for key in _FIELD_TYPES})
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataError(f"bad verdict line: {exc!r}") from None
 
@@ -65,7 +68,6 @@ class EvalReport:
     recall: float
     fp_rate: float
     fn_rate: float
-    wall_time: float = 0.0
     roc: list[tuple[float, float]] | None = None
     per_category: dict[str, dict[str, float]] | None = None
 
@@ -92,7 +94,6 @@ def evaluate(
     verdicts: Sequence[Verdict],
     labels: dict[str, str],
     categories: dict[str, str] | None = None,
-    wall_time: float = 0.0,
 ) -> EvalReport:
     """Confusion matrix and derived rates for a set of verdicts.
 
@@ -125,9 +126,7 @@ def evaluate(
             cat: {"accuracy": ok / n, "count": n} for cat, (ok, n) in sorted(per_cat.items())
         }
     m = _metrics(tp, fp, tn, fn)
-    return EvalReport(
-        tp=tp, fp=fp, tn=tn, fn=fn, wall_time=wall_time, per_category=per_category, **m
-    )
+    return EvalReport(tp=tp, fp=fp, tn=tn, fn=fn, per_category=per_category, **m)
 
 
 def itect_classify(
@@ -143,17 +142,15 @@ def itect_classify(
 
     EnTS is submitted to ``pool`` and the zoos are scored on its map.
     With helpers, EnTS runs on one while this thread builds the
-    suspect's n-gram histogram, and ``timings`` holds each detector's
-    own wall time, the two overlapping. With none (the default), EnTS
-    runs first. Either way an EnTS error is raised only after SLaMM has
+    suspect's n-gram histogram. With none (the default), EnTS runs
+    first. Either way an EnTS error is raised only after SLaMM has
     run, and the verdict is the same.
     """
     ents_abstained = len(data) < ents_params.chunk_size
     slamm_abstained = len(data) < benign_model.n
 
-    def run_ents() -> tuple[float, bool, float]:
+    def run_ents() -> tuple[float, bool]:
         score, verdict = 0.0, False
-        t0 = time.perf_counter()
         if not ents_abstained:
             profile = ents.entropy_profile(data, ents_params)
             row = profile[trained_forest.feature_cols]
@@ -161,15 +158,13 @@ def itect_classify(
             if trained_forest.cutoff is None:
                 raise DataError("forest is not calibrated")
             verdict = score >= trained_forest.cutoff
-        return score, verdict, time.perf_counter() - t0
+        return score, verdict
 
     pending = pool.submit(run_ents)
     sv = None
-    t0 = time.perf_counter()
     if not slamm_abstained:
         sv = slamm.slamm_classify(data, malware_models, benign_model, pool.map)
-    slamm_s = time.perf_counter() - t0
-    ents_score, ents_verdict, ents_s = pending.result()
+    ents_score, ents_verdict = pending.result()
 
     return Verdict(
         digest=digest,
@@ -179,7 +174,6 @@ def itect_classify(
         itect_verdict=ents_verdict or (sv.overall if sv else False),
         ents_abstained=ents_abstained,
         slamm_abstained=slamm_abstained,
-        timings={"ents": ents_s, "slamm": slamm_s},
     )
 
 
@@ -213,6 +207,8 @@ def prevalence_sweep(
     fraction.
     """
     sample_size = len(benign_verdicts)
+    if not sample_size:
+        raise DataError("no benign verdicts to sample")
     reports = []
     for frac in malware_fractions:
         if not 0 <= frac <= 0.5:

@@ -422,17 +422,23 @@ class TestPipelineCommands:
         bad = tmp_path / "bad.bytes"
         bad.write_bytes(b"00000000 4D 5A\n\xff\xfe 90\n")
         files = good[:3] + [str(missing)] + good[3:6] + [str(bad)] + good[6:]
+        # Every run writes the same paths, since the reports record them.
+        names = ("verdicts.jsonl", "report.json", "sweep.json")
+        verdicts, report, sweep = (tmp_path / name for name in names)
+        manifest = str(workspace["manifest"])
         outputs = {}
         for threads in ("1", "2", "3"):
-            out = tmp_path / f"verdicts-{threads}.jsonl"
-            assert self._classify(trained, out, *files, threads=threads) == 0
+            assert self._classify(trained, verdicts, *files, threads=threads) == 0
             err = capsys.readouterr().err
-            lines = [json.loads(line) for line in out.read_text().splitlines()]
-            for v in lines:
-                assert set(v.pop("timings")) == {"ents", "slamm"}
-            outputs[threads] = (lines, err)
-        lines, err = outputs["1"]
+            assert run("eval", "--verdicts", str(verdicts), "--manifest", manifest,
+                       "--out", str(report)) == 0
+            assert run("sweep", "--verdicts", str(verdicts), "--manifest", manifest,
+                       "--fractions", "0,0.25,0.5", "--seed", "1",
+                       "--out", str(sweep)) == 0
+            outputs[threads] = [f.read_bytes() for f in (verdicts, report, sweep)] + [err]
         assert outputs["2"] == outputs["3"] == outputs["1"]
+        raw_verdicts, _, _, err = outputs["1"]
+        lines = [json.loads(line) for line in raw_verdicts.splitlines()]
         assert [v["digest"] for v in lines] == [e.digest for e in entries]
         diagnostics = [l for l in err.splitlines() if l.startswith("diagnostic:")]
         assert len(diagnostics) == 2
@@ -888,12 +894,19 @@ _ENTRY = ManifestEntry(path="a.bin", label="benign", category="benign",
 _VERDICT = pipeline.Verdict(
     digest="0" * 64, ents_verdict=True, ents_score=0.5,
     slamm_verdict=slamm.SlammVerdict(True, False, True, False, {"z": {"cx": 1.0}}),
-    itect_verdict=True, timings={"total": 0.1},
+    itect_verdict=True,
+)
+# _VERDICT as older builds wrote it, with per-detector wall times.
+_OLD_VERDICT_LINE = (
+    b'{"digest": "' + b"0" * 64 + b'", "ents_abstained": false, "ents_score": 0.5, '
+    b'"ents_verdict": true, "itect_verdict": true, "slamm": {"cd": false, '
+    b'"cmse": true, "cx": true, "diagnostics": {"z": {"cx": 1.0}}, "overall": false}, '
+    b'"slamm_abstained": false, "timings": {"ents": 0.01, "slamm": 0.02}}\n'
 )
 # One well-formed file per loader.
 _VALID = {
     "manifest": (_ENTRY.to_json() + "\n").encode(),
-    "verdicts": (_VERDICT.to_json() + "\n").encode(),
+    "verdicts": _OLD_VERDICT_LINE,
     "features": b"digest,label,x0,x3\nd0,benign,0.5,1.0\nd1,malware,2.0,0.25\n",
     "ents-params": b'{"alpha": 3, "chunk_size": 256, "tau": 0.5}',
 }
@@ -935,6 +948,13 @@ class TestLoaderFuzz:
         path.write_bytes(_VALID[kind])
         _LOADERS[kind](path)
 
+    def test_verdict_line_with_timings_loads(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        path.write_bytes(_OLD_VERDICT_LINE)
+        [loaded] = cli._read_verdicts(path)
+        assert loaded == _VERDICT
+        assert "timings" not in json.loads(loaded.to_json())
+
     @pytest.mark.parametrize("kind", sorted(_LOADERS))
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -956,3 +976,60 @@ class TestLoaderFuzz:
         path.write_bytes(b"[" * 100_000)
         with pytest.raises(DataError):
             _LOADERS[kind](path)
+
+
+class TestVerdictChecks:
+    """Verdicts that ``eval`` or ``sweep`` cannot use end in one data error."""
+
+    @staticmethod
+    def _docs(workspace, *labels):
+        m = CorpusManifest.load(workspace["manifest"])
+        base = json.loads(_VERDICT.to_json())
+        return [dict(base, digest=m.by_label(label)[0].digest) for label in labels]
+
+    @staticmethod
+    def _run(workspace, tmp_path, command, docs, *argv):
+        verdicts, out = tmp_path / "v.jsonl", tmp_path / "out.json"
+        verdicts.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        return run(command, "--verdicts", str(verdicts), "--manifest",
+                   str(workspace["manifest"]), *argv, "--out", str(out)), out
+
+    @staticmethod
+    def _assert_data_error(capsys, rc, out):
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if line.startswith("itect: data error")]) == 1
+        assert not out.exists()
+
+    def test_well_formed_verdicts_evaluate(self, workspace, tmp_path):
+        docs = self._docs(workspace, "benign", "malware")
+        rc, out = self._run(workspace, tmp_path, "eval", docs)
+        assert rc == 0 and json.loads(out.read_text())["tp"] == 1
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("itect_verdict", "false"), ("ents_verdict", 0), ("ents_abstained", None),
+            ("slamm_abstained", "true"), ("digest", 7), ("ents_score", True),
+            ("ents_score", "0.5"), ("slamm.cx", "true"), ("slamm.cd", 0),
+            ("slamm.cmse", 1), ("slamm.overall", None),
+        ],
+    )
+    def test_mistyped_field_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        [doc] = self._docs(workspace, "benign")
+        *block, name = key.split(".")
+        (doc[block[0]] if block else doc)[name] = value
+        self._assert_data_error(capsys, *self._run(workspace, tmp_path, "eval", [doc]))
+
+    def test_sweep_of_unlabeled_verdict_is_data_error(self, workspace, tmp_path, capsys):
+        docs = self._docs(workspace, "benign", "malware")
+        docs.append(dict(docs[0], digest="f" * 64))
+        rc, out = self._run(workspace, tmp_path, "sweep", docs, "--fractions", "0,0.5",
+                            "--seed", "1")
+        self._assert_data_error(capsys, rc, out)
+
+    def test_sweep_without_benign_verdict_is_data_error(self, workspace, tmp_path, capsys):
+        docs = self._docs(workspace, "malware")
+        rc, out = self._run(workspace, tmp_path, "sweep", docs, "--fractions", "0",
+                            "--seed", "1")
+        self._assert_data_error(capsys, rc, out)

@@ -67,7 +67,7 @@ class TestVerdictJson:
         v = pipeline.Verdict(
             digest="d", ents_verdict=True, ents_score=0.8,
             slamm_verdict=sv, itect_verdict=True,
-            slamm_abstained=False, timings={"ents": 0.01},
+            slamm_abstained=False,
         )
         loaded = pipeline.Verdict.from_json(v.to_json())
         assert loaded == v
@@ -204,7 +204,7 @@ def tiny_detectors():
 
 
 class TestItectClassify:
-    def test_or_combination_and_timings(self, tiny_detectors):
+    def test_or_combination(self, tiny_detectors):
         d = tiny_detectors
         rng = np.random.default_rng(7)
         suspect = rng.integers(0, 256, 4096).astype(np.uint8).tobytes()
@@ -213,7 +213,6 @@ class TestItectClassify:
         )
         assert v.itect_verdict == (v.ents_verdict or v.slamm_verdict.overall)
         assert v.itect_verdict
-        assert set(v.timings) == {"ents", "slamm"}
 
     def test_benign_file_not_flagged(self, tiny_detectors):
         d = tiny_detectors
@@ -255,8 +254,6 @@ class TestItectClassify:
             for i, data in enumerate(suspects):
                 serial = pipeline.itect_classify(data, str(i), *args)
                 pooled = pipeline.itect_classify(data, str(i), *args, pool=pool)
-                assert set(pooled.timings) == {"ents", "slamm"}
-                serial.timings = pooled.timings = {}
                 assert pooled == serial
 
     def test_pooled_uncalibrated_forest_rejected(self, tiny_detectors):

@@ -24,7 +24,13 @@ records:
 * held-out benign files x ``risk_bound``: the false positives the
   calibration's exchangeable risk bound allows on average;
 * the number of retained profile dimensions;
-* perfbench's decision digest of the held-out verdicts.
+* perfbench's decision digest of the held-out verdicts;
+* ``verdicts_sha256``: the SHA-256 of the held-out verdicts'
+  ``Verdict.to_json()`` lines, each followed by a newline, in held-out
+  order, which is the file ``itect classify`` writes for those files.
+  Two sweeps on one host that agree on it agree on every score and
+  diagnostic, not only on the decisions. The scores depend on the
+  host's floating-point library, so CI pins only the decision digest.
 
 The 180-file corpora are checked against perfbench's pinned digests.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import shutil
 import sys
@@ -86,11 +93,14 @@ def sweep_one(seed: int, files: int, work: Path) -> dict:
     benign_zoo = slamm.NgramModel.load(models / "benign.slmm")
     tp, fp = dict.fromkeys(DETECTORS, 0), dict.fromkeys(DETECTORS, 0)
     decisions, benign_scores = {}, []
+    verdicts_sha256 = hashlib.sha256()
     for e in data.held:
         v = pipeline.itect_classify(
             corpus.load_sample(e.path), e.digest, trained, params, zoos, benign_zoo
         )
-        d = decisions[e.digest] = decision(json.loads(v.to_json()))
+        line = v.to_json()
+        verdicts_sha256.update((line + "\n").encode())
+        d = decisions[e.digest] = decision(json.loads(line))
         flags = (d.ents_verdict, d.cx, d.cd, d.cmse, d.overall, d.itect_verdict)
         tally = tp if e.label == "malware" else fp
         for name, flag in zip(DETECTORS, flags):
@@ -117,6 +127,7 @@ def sweep_one(seed: int, files: int, work: Path) -> dict:
         "retained_dims": len(trained.feature_cols),
         "alpha": params.alpha,
         "decision_digest": decision_digest(decisions),
+        "verdicts_sha256": verdicts_sha256.hexdigest(),
     }
 
 
