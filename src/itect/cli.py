@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -277,14 +278,20 @@ def _cmd_slamm_train(args) -> int:
     return 0
 
 
-def _load_slamm_models(model_paths: str, benign_path: str):
-    """The malware zoos and the benign zoo, checked as a set before any
-    sample is read: every zoo has the benign zoo's order, and each
-    malware zoo records its scores under its own diagnostics key, not
-    "benign" (:func:`slamm.diagnostic_keys`)."""
+def _load_slamm_models(model_paths: str, benign_path: str, map: Callable = map):
+    """The malware zoos, in ``model_paths`` order, and the benign zoo,
+    checked as a set before any sample is read: every zoo has the benign
+    zoo's order, and each malware zoo records its scores under its own
+    diagnostics key, not "benign" (:func:`slamm.diagnostic_keys`).
+
+    ``map`` loads the files largest first, so a pool's map starts the
+    longest loads first and its threads finish close together; its first
+    error in that order is raised.
+    """
     paths = [p.strip() for p in model_paths.split(",")]
-    malware = [slamm.NgramModel.load(p) for p in paths]
-    benign = slamm.NgramModel.load(benign_path)
+    largest_first = sorted([*paths, benign_path], key=os.path.getsize, reverse=True)
+    zoos = dict(zip(largest_first, map(slamm.NgramModel.load, largest_first)))
+    malware, benign = [zoos[p] for p in paths], zoos[benign_path]
     owners: dict[str, str] = {}
     for path, model, key in zip(paths, malware, slamm.diagnostic_keys(malware)):
         if model.n != benign.n:
@@ -319,9 +326,9 @@ def _readable_samples(paths: list[str]):
 
 
 def _cmd_slamm_classify(args) -> int:
-    malware, benign = _load_slamm_models(args.models, args.benign)
-    n = benign.n
     with _shared_pool(args) as pool:
+        malware, benign = _load_slamm_models(args.models, args.benign, pool.map)
+        n = benign.n
         for path, data in _readable_samples(args.files):
             if len(data) < n:  # classify abstains on such a file
                 print(
@@ -379,10 +386,10 @@ def _cmd_classify(args) -> int:
             f"{args.ents}: feature column {last_col} is outside "
             f"the {params.n_points}-point entropy profile"
         )
-    malware, benign = _load_slamm_models(args.slamm, args.benign)
-    t0 = time.perf_counter()
     lines = []
     with _shared_pool(args) as pool:
+        malware, benign = _load_slamm_models(args.slamm, args.benign, pool.map)
+        t0 = time.perf_counter()
         for _, data in _readable_samples(args.files):
             digest = hashlib.sha256(data).hexdigest()
             v = pipeline.itect_classify(

@@ -9,6 +9,7 @@ precision-first behavior.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, asdict
 from typing import Sequence
@@ -24,6 +25,11 @@ _FIELD_TYPES = {"digest": (str,), "ents_score": (int, float)} | dict.fromkeys(
     ("ents_verdict", "itect_verdict", "ents_abstained", "slamm_abstained"), (bool,)
 )
 _SLAMM_FLAGS = ("cx", "cd", "cmse", "overall")
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (a boolean is not one)."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 @dataclass
@@ -52,9 +58,30 @@ class Verdict:
                 if type(value) not in types:
                     raise TypeError(f"{key} has type {type(value).__name__}")
             # Other keys, such as the wall times older builds wrote, are ignored.
-            return cls(slamm_verdict=sv, **{key: d[key] for key in _FIELD_TYPES})
+            v = cls(slamm_verdict=sv, **{key: d[key] for key in _FIELD_TYPES})
+            v._check_values()
+            return v
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise DataError(f"bad verdict line: {exc!r}") from None
+
+    def _check_values(self) -> None:
+        """Raise ValueError unless the fields agree as :func:`itect_classify`
+        writes them."""
+        sv = self.slamm_verdict
+        diagnostics = sv.diagnostics if sv else {}
+        if not _finite(self.ents_score):
+            raise ValueError("ents_score is not finite")
+        if type(diagnostics) is not dict or not all(
+            type(zoo) is dict and all(map(_finite, zoo.values()))
+            for zoo in diagnostics.values()
+        ):
+            raise ValueError("slamm diagnostics are not dicts of finite numbers per zoo")
+        if self.slamm_abstained != (sv is None):
+            raise ValueError("slamm must be null exactly when slamm_abstained is true")
+        if self.ents_abstained and self.ents_verdict:
+            raise ValueError("ents_verdict is true although EnTS abstained")
+        if self.itect_verdict != (self.ents_verdict or (sv is not None and sv.overall)):
+            raise ValueError("itect_verdict is not ents_verdict OR the slamm overall flag")
 
 
 @dataclass

@@ -54,7 +54,7 @@ _MAGIC = b"SLMM"
 _FORMAT_VERSION = 3
 # Records per block of whole contexts when a model's counts are read,
 # written or tallied; a longer context forms a block alone.
-_BLOCK = 1 << 18
+_BLOCK = 1 << 17
 # Suspect codes per block of cross-entropy terms.
 _CE_BLOCK = 1 << 14
 
@@ -106,9 +106,10 @@ def _read_records(fh, model: "NgramModel"):
     strictly increasing within a context, and counts non-zero, below
     2^63 (training sums them in int64) and in the narrowest width that
     holds the largest, as :meth:`NgramModel.save` writes them; anything
-    else raises DataError. Each block is added into the order's table
-    as training adds a document's counts (:meth:`_CountTable.add`), and
-    the pending runs are merged after the order's last, so the loaded
+    else raises DataError. Each block's counts are copied once out of the
+    records and stored into the order's table, whose cells there are
+    still zero (:meth:`_CountTable.fill`); the pending runs of the
+    capped cells are merged after the order's last block, so the loaded
     tables are the trained ones.
     """
     for k, table in enumerate(model.tables, 1):
@@ -138,7 +139,7 @@ def _read_records(fh, model: "NgramModel"):
             )
             codes = np.repeat(np.arange(c0, c0 + len(lens), dtype=np.uint32) << 8, lens)
             codes |= rec["b"]
-            counts = rec["c"]
+            counts = np.ascontiguousarray(rec["c"])
             # Contexts ascend, so the codes increase across them.
             if not np.all(codes[1:] > codes[:-1]):
                 raise DataError(
@@ -149,7 +150,7 @@ def _read_records(fh, model: "NgramModel"):
                 raise DataError(f"order-{k} count overflows its counter")
             if counts.min() == 0:
                 raise DataError(f"order-{k} record has a zero count")
-            table.add(codes, counts)
+            table.fill(codes, counts)
             yield k, c0, lens, codes, counts
         table.merge()
         if np.min_scalar_type(top).itemsize != width:
@@ -262,10 +263,10 @@ class _CountTable:
         cap form a pending run of what the overflow lacks of their
         counts: the sum where the cell was below the cap, else only
         ``counts``, since the overflow and the earlier runs hold the
-        rest. So neither training nor loading looks an overflow count
-        up. The runs are merged (:meth:`merge`) once they hold as many
-        cells as the overflow, so each merge at least doubles what it
-        copies, and before the exact counts are read.
+        rest. So training looks no overflow count up. The runs are
+        merged (:meth:`merge`) once they hold as many cells as the
+        overflow, so each merge at least doubles what it copies, and
+        before the exact counts are read.
         """
         cap = self.cap
         table = self.cells
@@ -304,10 +305,44 @@ class _CountTable:
                 counts[over], np.where(had[over] == cap, 0, had[over]),
                 dtype=np.int64, casting="unsafe",
             )
-            self._pending.append((codes[over].astype(np.uint32), _narrowest(part)))
+            self._pend(codes[over], part)
+        return had
+
+    def fill(self, codes: np.ndarray, counts: np.ndarray) -> None:
+        """Store ``counts``, non-zero and below 2^63, at ascending
+        ``codes`` whose cells are zero and share no byte with a non-zero
+        cell, as a loaded block's are: it holds whole contexts, 256
+        codes or 128 bytes of 4-bit cells each, that no earlier block
+        held.
+
+        Each cell takes min(count, cap), by one scatter; in 4-bit cells
+        the neighbours 2b and 2b+1 both write byte b with both nibbles.
+        The codes at the cap form a pending run of their whole counts,
+        as in :meth:`add`, which would gather only zeros here.
+        """
+        cap = self.cap
+        nibbles = self._nibbles()
+        cells = counts.astype(np.uint8 if nibbles else self.cells.dtype)
+        full = counts >= cap
+        cells[full] = cap
+        if nibbles:
+            byte, shift = self._nibble_index(codes)
+            cells <<= shift
+            pair = np.flatnonzero(byte[1:] == byte[:-1])
+            cells[pair] = cells[pair + 1] = cells[pair] | cells[pair + 1]
+            self.cells[byte] = cells
+        else:
+            self.cells[codes] = cells
+        self._pend(codes[full], counts[full])
+
+    def _pend(self, codes: np.ndarray, parts: np.ndarray) -> None:
+        """Hold ``parts`` of the exact counts at ``codes``, cells at the
+        cap, as a pending run, and merge the runs once they hold as many
+        cells as the overflow."""
+        if len(codes):
+            self._pending.append((codes.astype(np.uint32), _narrowest(parts)))
             if sum(len(c) for c, _ in self._pending) >= len(self.overflow[0]):
                 self.merge()
-        return had
 
     def merge(self) -> None:
         """Merge the pending runs into the overflow, each code's count the
@@ -338,12 +373,7 @@ class _CountTable:
         uint16, uint32 and uint64. The cells below the new cap leave the
         overflow, which holds no pending run, for the table."""
         table = self.cells
-        if self._nibbles():
-            wide = np.empty(2 * table.size, dtype=np.uint8)
-            np.bitwise_and(table, 15, out=wide[0::2])
-            np.right_shift(table, 4, out=wide[1::2])
-        else:
-            wide = table.astype(f"u{2 * table.itemsize}")
+        wide = self._unpacked() if self._nibbles() else table.astype(f"u{2 * table.itemsize}")
         self.cells = wide
         cap = self.cap
         codes, counts = self.overflow
@@ -352,6 +382,24 @@ class _CountTable:
         codes = codes[~left]
         wide[codes] = cap
         self.overflow = (codes, _narrowest(counts[~left]))
+
+    def _unpacked(self) -> np.ndarray:
+        """The 4-bit cells as a new uint8 array, one cell per code."""
+        table = self.cells
+        wide = np.empty(2 * table.size, dtype=np.uint8)
+        np.bitwise_and(table, 15, out=wide[0::2])
+        np.right_shift(table, 4, out=wide[1::2])
+        return wide
+
+    def exact(self) -> np.ndarray:
+        """The exact count at every code, by one pass over the cells: a
+        copy of them, 4-bit cells unpacked, with the overflow's counts
+        written in. Pending runs must be merged."""
+        over_codes, over_counts = self.overflow
+        cells = self._unpacked() if self._nibbles() else self.cells
+        counts = cells.astype(np.promote_types(cells.dtype, over_counts.dtype))
+        counts[over_codes] = over_counts
+        return counts
 
     def gather(self, codes: np.ndarray) -> np.ndarray:
         """The exact counts at ``codes``: the cells', each at the cap
@@ -408,8 +456,9 @@ class NgramModel:
     adds their counts into the order's table, which widens as its
     overflow grows. The codes each document sees first are kept, so
     finalize and save read the non-zero counts without scanning 256^k
-    cells. :meth:`load` adds each order's blocks into its table the same
-    way, so a trained zoo and its loaded copy hold the same tables.
+    cells. :meth:`load` fills each order's table block by block, under
+    the same layout rule, so a trained zoo and its loaded copy hold the
+    same tables.
     """
 
     def __init__(self, n: int, smoothing: SmoothingParams, zoo_id: str = ""):
@@ -549,18 +598,19 @@ class NgramModel:
         """Smoothed q at every code of order n-1, the top order's back-off.
 
         For n = 1 it is the uniform 1/256 the unigram backs off to. The
-        orders below the top are read once, as exact counts gathered at
-        all their 256 or 65,536 codes. The order-2 table is built over the
-        (256, 256) context x byte view of its counts, with the unigram q
-        broadcast over contexts; the context grid is full, as the step
-        works in place. n <= 3, so no higher order is ever needed here.
+        orders below the top are read once, as the exact counts at all
+        their 256 or 65,536 codes (:meth:`_CountTable.exact`). The
+        order-2 table is built over the (256, 256) context x byte view of
+        its counts, with the unigram q broadcast over contexts; the
+        context grid is full, as the step works in place. n <= 3, so no
+        higher order is ever needed here.
         """
         q = np.full(1, 1.0 / 256.0)
         if self.n >= 2:
-            q = self._discount_step(1, self.tables[0].gather(np.arange(256)), 0, q)
+            q = self._discount_step(1, self.tables[0].exact(), 0, q)
         if self.n == 3:
             ctx = np.arange(256)[:, None].repeat(256, axis=1)
-            bigrams = self.tables[1].gather(np.arange(256**2)).reshape(256, 256)
+            bigrams = self.tables[1].exact().reshape(256, 256)
             q = self._discount_step(2, bigrams, ctx, q).ravel()
         return q
 

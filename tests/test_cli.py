@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from itect import cli, ents, pipeline, slamm
 from itect.corpus import CorpusManifest, ManifestEntry
 from itect.errors import DataError
+from itect.pool import SharedPool
 
 
 def run(*argv):
@@ -569,6 +571,64 @@ class TestPipelineCommands:
         assert rc == 2
         assert "itect: data error: truncated model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("helpers", [0, 1])
+    def test_zoos_load_largest_first_and_return_in_given_order(self, trained, helpers):
+        # The largest malware zoo is listed last. The map gets every file,
+        # benign included, largest first, and the zoos come back as
+        # listed, each with the tables of a load of its own.
+        models = trained["models"]
+        listed = sorted((models[c] for c in ("polymorphic", "metamorphic", "packed")),
+                        key=lambda p: p.stat().st_size)
+        every = [*listed, models["benign"]]
+        mapped = []
+        with SharedPool(helpers) as pool:
+
+            def recording_map(fn, items):
+                mapped.extend(items)
+                return pool.map(fn, items)
+
+            malware, benign = cli._load_slamm_models(
+                ",".join(map(str, listed)), str(models["benign"]), recording_map
+            )
+        assert mapped == sorted(map(str, every), key=lambda p: -os.path.getsize(p))
+        assert mapped[0] == str(listed[-1])
+        for path, zoo in zip(every, [*malware, benign]):
+            alone = slamm.NgramModel.load(path)
+            assert zoo.zoo_id == alone.zoo_id
+            for a, b in zip(zoo.tables, alone.tables):
+                for x, y in zip((a.cells, *a.overflow), (b.cells, *b.overflow)):
+                    np.testing.assert_array_equal(x, y)
+                    assert x.dtype == y.dtype
+            np.testing.assert_array_equal(zoo._lower_q, alone._lower_q)
+
+    def test_corrupt_zoos_give_one_error_whatever_the_threads(
+        self, workspace, trained, tmp_path, capsys
+    ):
+        # Two truncated zoos, each with its own message; the larger file's
+        # error is the one reported, at one thread and at two.
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        models = trained["models"]
+        cut = {}
+        for category, drop in (("polymorphic", 3), ("packed", 5)):
+            cut[category] = tmp_path / f"cut-{category}.slmm"
+            cut[category].write_bytes(models[category].read_bytes()[:-drop])
+        alone = {}
+        for category, path in cut.items():
+            with pytest.raises(DataError) as exc:
+                slamm.NgramModel.load(path)
+            alone[category] = f"itect: data error: {exc.value}"
+        assert len(set(alone.values())) == 2
+        larger = max(cut, key=lambda c: cut[c].stat().st_size)
+        mal = ",".join(str(p) for p in (cut["polymorphic"], models["metamorphic"], cut["packed"]))
+        for threads in ("1", "2"):
+            capsys.readouterr()
+            rc = run("--threads", threads, "classify", "--ents", str(trained["forest"]),
+                     "--ents-params", str(trained["params"]), "--slamm", mal,
+                     "--benign", str(models["benign"]), "--out", str(tmp_path / "v.jsonl"), good)
+            assert rc == 2
+            assert capsys.readouterr().err.splitlines() == [alone[larger]]
+            assert not (tmp_path / "v.jsonl").exists()
+
     def test_classify_zoo_order_mismatch_is_data_error(
         self, workspace, trained, tmp_path, capsys
     ):
@@ -1016,10 +1076,32 @@ class TestVerdictChecks:
         ],
     )
     def test_mistyped_field_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        self._assert_edited_verdict_is_data_error(workspace, tmp_path, capsys, key, value)
+
+    def _assert_edited_verdict_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        """``eval`` of one verdict whose field ``key`` ("slamm.<key>" for
+        the SLaMM block's) is set to ``value`` ends in one data error."""
         [doc] = self._docs(workspace, "benign")
         *block, name = key.split(".")
         (doc[block[0]] if block else doc)[name] = value
         self._assert_data_error(capsys, *self._run(workspace, tmp_path, "eval", [doc]))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            # _VERDICT's EnTS flag is set and its SLaMM overall flag clear.
+            ("itect_verdict", False), ("ents_verdict", False), ("ents_abstained", True),
+            ("slamm", None), ("slamm_abstained", True),
+            ("ents_score", math.nan), ("ents_score", -math.inf),
+            ("slamm.diagnostics", 5), ("slamm.diagnostics", {"z": [1.0]}),
+            ("slamm.diagnostics", {"z": {"cx": True}}), ("slamm.diagnostics", {"z": {"cx": "1"}}),
+            ("slamm.diagnostics", {"z": {"cx": math.inf}}),
+        ],
+    )
+    def test_verdict_classify_cannot_write_is_data_error(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        self._assert_edited_verdict_is_data_error(workspace, tmp_path, capsys, key, value)
 
     def test_sweep_of_unlabeled_verdict_is_data_error(self, workspace, tmp_path, capsys):
         docs = self._docs(workspace, "benign", "malware")

@@ -520,6 +520,7 @@ class TestTopOverflow:
         assert assert_layout(table, counts) == cap
         keys = np.unique(rng.integers(0, 256, 100))
         np.testing.assert_array_equal(table.gather(keys), counts[keys])
+        np.testing.assert_array_equal(table.exact(), counts)
 
     def test_load_merges_the_overflow_in_doubling_steps(self, tmp_path, monkeypatch):
         # Blocks of 5 records hold one context of four trigrams each, all
@@ -1029,10 +1030,22 @@ class TestLoadedTables:
         # finalize; bytes 0..39 leave most contexts unseen. A run of
         # zeros sets the largest trigram count, 998 or 69,998, and so
         # the type of the exact trigram counts, which the trigram table's
-        # overflow holds; training skips an empty run.
+        # overflow holds; training skips an empty run. Loaded blocks end
+        # after an even code, whose odd neighbour's nibble stays zero, and
+        # after an odd one: the unigram block after "r", the bigram blocks
+        # after odd bytes, and the trigram blocks after either.
         monkeypatch.setattr(slamm, "_BLOCK", block)
+        ends = set()
+        fill = slamm._CountTable.fill
+
+        def spy(table, codes, counts):
+            ends.add(int(codes[-1]) & 1)
+            fill(table, codes, counts)
+
+        monkeypatch.setattr(slamm._CountTable, "fill", spy)
         for zeros, top_dtype in [(0, np.uint8), (1000, np.uint16), (70_000, np.uint32)]:
             self._check_loaded_equals_trained(tmp_path, n, zeros, top_dtype)
+        assert ends == ({0} if n == 1 else {0, 1})
 
     def _check_loaded_equals_trained(self, tmp_path, n, zeros, top_dtype):
         rng = np.random.default_rng(20 + n)
