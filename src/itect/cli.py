@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -278,20 +277,16 @@ def _cmd_slamm_train(args) -> int:
     return 0
 
 
-def _load_slamm_models(model_paths: str, benign_path: str, map: Callable = map):
+def _load_slamm_models(model_paths: str, benign_path: str, pool: SharedPool):
     """The malware zoos, in ``model_paths`` order, and the benign zoo,
-    checked as a set before any sample is read: every zoo has the benign
-    zoo's order, and each malware zoo records its scores under its own
-    diagnostics key, not "benign" (:func:`slamm.diagnostic_keys`).
-
-    ``map`` loads the files largest first, so a pool's map starts the
-    longest loads first and its threads finish close together; its first
-    error in that order is raised.
+    loaded concurrently on ``pool`` and checked as a set before any
+    sample is read: every zoo has the benign zoo's order, and each
+    malware zoo records its scores under its own diagnostics key, not
+    "benign" (:func:`slamm.diagnostic_keys`). Of several files that
+    cannot be loaded, the first listed one's error is raised.
     """
     paths = [p.strip() for p in model_paths.split(",")]
-    largest_first = sorted([*paths, benign_path], key=os.path.getsize, reverse=True)
-    zoos = dict(zip(largest_first, map(slamm.NgramModel.load, largest_first)))
-    malware, benign = [zoos[p] for p in paths], zoos[benign_path]
+    *malware, benign = pool.map(slamm.NgramModel.load, [*paths, benign_path])
     owners: dict[str, str] = {}
     for path, model, key in zip(paths, malware, slamm.diagnostic_keys(malware)):
         if model.n != benign.n:
@@ -327,7 +322,7 @@ def _readable_samples(paths: list[str]):
 
 def _cmd_slamm_classify(args) -> int:
     with _shared_pool(args) as pool:
-        malware, benign = _load_slamm_models(args.models, args.benign, pool.map)
+        malware, benign = _load_slamm_models(args.models, args.benign, pool)
         n = benign.n
         for path, data in _readable_samples(args.files):
             if len(data) < n:  # classify abstains on such a file
@@ -388,7 +383,7 @@ def _cmd_classify(args) -> int:
         )
     lines = []
     with _shared_pool(args) as pool:
-        malware, benign = _load_slamm_models(args.slamm, args.benign, pool.map)
+        malware, benign = _load_slamm_models(args.slamm, args.benign, pool)
         t0 = time.perf_counter()
         for _, data in _readable_samples(args.files):
             digest = hashlib.sha256(data).hexdigest()

@@ -572,27 +572,17 @@ class TestPipelineCommands:
         assert "itect: data error: truncated model file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("helpers", [0, 1])
-    def test_zoos_load_largest_first_and_return_in_given_order(self, trained, helpers):
-        # The largest malware zoo is listed last. The map gets every file,
-        # benign included, largest first, and the zoos come back as
+    def test_zoos_load_on_the_pool_and_return_in_given_order(self, trained, helpers):
+        # The largest malware zoo is listed last; the zoos come back as
         # listed, each with the tables of a load of its own.
         models = trained["models"]
         listed = sorted((models[c] for c in ("polymorphic", "metamorphic", "packed")),
                         key=lambda p: p.stat().st_size)
-        every = [*listed, models["benign"]]
-        mapped = []
         with SharedPool(helpers) as pool:
-
-            def recording_map(fn, items):
-                mapped.extend(items)
-                return pool.map(fn, items)
-
             malware, benign = cli._load_slamm_models(
-                ",".join(map(str, listed)), str(models["benign"]), recording_map
+                ",".join(map(str, listed)), str(models["benign"]), pool
             )
-        assert mapped == sorted(map(str, every), key=lambda p: -os.path.getsize(p))
-        assert mapped[0] == str(listed[-1])
-        for path, zoo in zip(every, [*malware, benign]):
+        for path, zoo in zip([*listed, models["benign"]], [*malware, benign]):
             alone = slamm.NgramModel.load(path)
             assert zoo.zoo_id == alone.zoo_id
             for a, b in zip(zoo.tables, alone.tables):
@@ -604,8 +594,8 @@ class TestPipelineCommands:
     def test_corrupt_zoos_give_one_error_whatever_the_threads(
         self, workspace, trained, tmp_path, capsys
     ):
-        # Two truncated zoos, each with its own message; the larger file's
-        # error is the one reported, at one thread and at two.
+        # Two truncated zoos, each with its own message; the first listed
+        # one's error is reported, at one thread and at two.
         good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
         models = trained["models"]
         cut = {}
@@ -618,15 +608,14 @@ class TestPipelineCommands:
                 slamm.NgramModel.load(path)
             alone[category] = f"itect: data error: {exc.value}"
         assert len(set(alone.values())) == 2
-        larger = max(cut, key=lambda c: cut[c].stat().st_size)
-        mal = ",".join(str(p) for p in (cut["polymorphic"], models["metamorphic"], cut["packed"]))
+        mal = ",".join(str(p) for p in (cut["packed"], models["metamorphic"], cut["polymorphic"]))
         for threads in ("1", "2"):
             capsys.readouterr()
             rc = run("--threads", threads, "classify", "--ents", str(trained["forest"]),
                      "--ents-params", str(trained["params"]), "--slamm", mal,
                      "--benign", str(models["benign"]), "--out", str(tmp_path / "v.jsonl"), good)
             assert rc == 2
-            assert capsys.readouterr().err.splitlines() == [alone[larger]]
+            assert capsys.readouterr().err.splitlines() == [alone["packed"]]
             assert not (tmp_path / "v.jsonl").exists()
 
     def test_classify_zoo_order_mismatch_is_data_error(
