@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, corpus, ents, forest as forest_mod, pipeline, slamm, synth
-from .errors import DataError, ItectError
+from .errors import DataError, ItectError, parse_lines, reading
 from .pool import SharedPool
 
 
@@ -172,15 +172,17 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _load_split_entries(manifest: corpus.CorpusManifest, split: str | None):
-    if split:
-        return [e for e in manifest if e.split == split]
-    return list(manifest)
+def _nonempty_sample(path) -> bytes:
+    """The sample at ``path``; an empty one is a DataError that names it."""
+    data = corpus.load_sample(path)
+    if not data:
+        raise DataError(f"{path}: empty file")
+    return data
 
 
 def _cmd_ents(args) -> int:
     manifest = corpus.CorpusManifest.load(args.manifest)
-    entries = _load_split_entries(manifest, args.split)
+    entries = [e for e in manifest if args.split in (None, e.split)]
     if not entries:
         raise DataError("no manifest entries selected")
     if args.alpha == "auto":
@@ -196,8 +198,7 @@ def _cmd_ents(args) -> int:
     params = ents.EntsParams(chunk_size=args.chunk, alpha=alpha, tau=args.tau)
 
     def profile_of(entry):
-        data = corpus.load_sample(entry.path)
-        return ents.entropy_profile(data, params)
+        return ents.entropy_profile(_nonempty_sample(entry.path), params)
 
     with _shared_pool(args) as pool:
         rows = pool.map(profile_of, entries)
@@ -263,16 +264,15 @@ def _cmd_slamm_train(args) -> int:
     entries = _zoo_documents(manifest, args.category, args.split)
     if not entries:
         raise DataError(f"no entries for category {args.category!r}")
-    diags: list[str] = []
-    model = slamm.NgramModel.train(
-        (corpus.load_sample(e.path) for e in entries),
-        n=args.n,
-        zoo_id=args.category,
-        diagnostics=diags,
-    )
+
+    def documents():  # train skips a file shorter than n
+        for e in entries:
+            if len(data := corpus.load_sample(e.path)) < args.n:
+                print(f"diagnostic: {e.path}: shorter than n={args.n}, skipped", file=sys.stderr)
+            yield data
+
+    model = slamm.NgramModel.train(documents(), n=args.n, zoo_id=args.category)
     model.save(args.out)
-    for d in diags:
-        print(f"diagnostic: {d}", file=sys.stderr)
     print(f"trained {args.n}-gram model over {len(entries)} files -> {args.out}")
     return 0
 
@@ -314,8 +314,11 @@ def _readable_samples(paths: list[str]):
     for path in paths:
         try:
             data = corpus.load_sample(path)
-        except (OSError, DataError) as exc:
-            print(f"diagnostic: {path}: {exc}", file=sys.stderr)
+        except DataError as exc:  # which names the path
+            print(f"diagnostic: {exc}", file=sys.stderr)
+            continue
+        except OSError as exc:
+            print(f"diagnostic: {path}: {exc.strerror}", file=sys.stderr)
             continue
         yield path, data
 
@@ -344,7 +347,7 @@ def _cmd_baseline(args) -> int:
     entries = list(manifest)
     if args.metric == "cr":
         rows = [
-            [baselines.compression_rate(corpus.load_sample(e.path), spec)]
+            [baselines.compression_rate(_nonempty_sample(e.path), spec)]
             for e in entries
         ]
         matrix = ents.FeatureMatrix(
@@ -359,8 +362,8 @@ def _cmd_baseline(args) -> int:
         train_entries = list(corpus.CorpusManifest.load(args.train))
         with _shared_pool(args) as pool:
             matrix = baselines.similarity_rows(
-                [corpus.load_sample(e.path) for e in entries],
-                [corpus.load_sample(e.path) for e in train_entries],
+                [_nonempty_sample(e.path) for e in entries],
+                [_nonempty_sample(e.path) for e in train_entries],
                 spec,
                 test_digests=[e.digest for e in entries],
                 test_labels=[e.label for e in entries],
@@ -400,11 +403,8 @@ def _cmd_classify(args) -> int:
 
 
 def _read_verdicts(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return [pipeline.Verdict.from_json(line) for line in fh if line.strip()]
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: verdicts are not UTF-8 text ({exc.reason})") from None
+    with reading(path, "bad verdicts"), open(path, "r", encoding="utf-8") as fh:
+        return parse_lines(fh, pipeline.Verdict.from_json)
 
 
 def _cmd_eval(args) -> int:
@@ -611,10 +611,10 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     known, argv = pre.parse_known_args(argv)
     if known.config is None:
         return parser.parse_args(argv, known)
-    with open(known.config, "r", encoding="utf-8") as fh:
+    with reading(known.config, "bad config"), open(known.config, "r", encoding="utf-8") as fh:
         values = json.load(fh)
-    if not isinstance(values, dict):
-        raise ValueError(f"{known.config}: config must be a JSON object")
+        if not isinstance(values, dict):
+            raise DataError("config must be a JSON object")
 
     unused = dict(values)
 
@@ -653,12 +653,12 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --version / --help
         return 0 if exc.code in (0, None) else 1
-    except (OSError, ValueError) as exc:  # unreadable or malformed --config file
+    except (OSError, DataError) as exc:  # unreadable or malformed --config file
         print(f"itect: config error: {exc}", file=sys.stderr)
         return 1
     try:
         return args.func(args)
-    except (DataError, ItectError) as exc:
+    except ItectError as exc:
         print(f"itect: data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

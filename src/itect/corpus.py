@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DataError
+from .errors import DataError, parse_lines, reading
 
 LABELS = ("malware", "benign")
 CATEGORIES = ("polymorphic", "metamorphic", "packed", "benign", "unknown")
@@ -75,7 +75,7 @@ class ManifestEntry:
 
     @classmethod
     def from_json(cls, line: str) -> "ManifestEntry":
-        try:
+        with reading(None, "bad manifest line"):
             d = json.loads(line)
             return cls(
                 path=d["path"],
@@ -85,8 +85,6 @@ class ManifestEntry:
                 size_bytes=d["size_bytes"],
                 digest=d["digest"],
             )
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise DataError(f"bad manifest line: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -117,16 +115,8 @@ class CorpusManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
-        entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        entries.append(ManifestEntry.from_json(line))
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: manifest is not UTF-8 text ({exc.reason})") from None
-        return cls(entries=tuple(entries))
+        with reading(path, "bad manifest"), open(path, "r", encoding="utf-8") as fh:
+            return cls(entries=tuple(parse_lines(fh, ManifestEntry.from_json)))
 
 
 def file_digest(path: str | Path) -> str:
@@ -321,7 +311,5 @@ def load_sample(path: str | Path) -> bytes:
         if not is_hexdump_path(path):
             return fh.read()
         data = fh.read()
-    try:
+    with reading(path, "bad hexdump"):
         return hexdump_to_bytes(data)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: hexdump is not UTF-8 text ({exc.reason})") from None

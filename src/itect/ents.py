@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 SQRT2 = math.sqrt(2.0)
 
@@ -48,12 +48,9 @@ class EntsParams:
     def load(cls, path) -> "EntsParams":
         """Read an ``ents-params.json``; one that does not hold valid
         parameters raises DataError."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                p = json.load(fh)
-                return cls(chunk_size=p["chunk_size"], alpha=p["alpha"], tau=p["tau"])
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise DataError(f"{path}: bad EnTS parameters: {exc!r}") from None
+        with reading(path, "bad EnTS parameters"), open(path, "r", encoding="utf-8") as fh:
+            p = json.load(fh)
+            return cls(chunk_size=p["chunk_size"], alpha=p["alpha"], tau=p["tau"])
 
     @property
     def n_points(self) -> int:
@@ -231,29 +228,25 @@ def write_feature_csv(matrix: FeatureMatrix, path) -> None:
 
 
 def read_feature_csv(path) -> FeatureMatrix:
-    """Read a feature CSV; a malformed header, cell or row raises DataError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = fh.readline().strip().split(",")
-            if header[:2] != ["digest", "label"]:
-                raise DataError(f"bad feature CSV header in {path}")
-            col_index = [int(c[1:]) for c in header[2:]]
-            digests, labels, rows = [], [], []
-            for line in fh:
-                cells = line.strip().split(",")
-                if not cells or cells == [""]:
-                    continue
-                digests.append(cells[0])
-                labels.append(cells[1])
-                rows.append([float(v) for v in cells[2:]])
-            return FeatureMatrix(
-                rows=np.array(rows, dtype=np.float64),
-                col_index=col_index,
-                labels=labels,
-                digests=digests,
-            )
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad feature CSV: {exc}") from None
+    """Read a feature CSV; a malformed header or row, or a cell that is not a
+    finite number, raises DataError."""
+    with reading(path, "bad feature CSV"), open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header[:2] != ["digest", "label"]:
+            raise DataError("bad feature CSV header")
+        col_index = [int(c[1:]) for c in header[2:]]
+        digests, labels, rows = [], [], []
+        for line in fh:
+            cells = line.strip().split(",")
+            if not cells or cells == [""]:
+                continue
+            digests.append(cells[0])
+            labels.append(cells[1])
+            rows.append([float(v) for v in cells[2:]])
+        rows = np.array(rows, dtype=np.float64)
+        if not np.isfinite(rows).all():
+            raise ValueError("a feature is not a finite number")
+        return FeatureMatrix(rows=rows, col_index=col_index, labels=labels, digests=digests)
 
 
 def prune_correlated(matrix: FeatureMatrix, cutoff: float = 0.8) -> FeatureMatrix:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 
 @dataclass
@@ -69,9 +69,9 @@ def _is_int(x) -> bool:
 
 
 def _real(x, what: str) -> float:
-    """``x`` as a float; a value that is not a JSON number raises ValueError."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"{what} {x!r} is not a number")
+    """``x`` as a float; a value that is not a finite JSON number raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise ValueError(f"{what} {x!r} is not a finite number")
     return float(x)
 
 
@@ -119,26 +119,21 @@ class TrainedForest:
     def load(cls, path: str | Path) -> "TrainedForest":
         """Read a forest file; one that is not a saved forest, or that
         could not score a row, raises DataError."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-                cols = list(doc["feature_cols"])
-                if not all(_is_int(c) and c >= 0 for c in cols):
-                    raise ValueError(f"feature_cols {cols!r} are not column indices")
-                if not doc["trees"]:
-                    raise ValueError("no trees")
-                cutoff = doc["cutoff"]
-                return cls(
-                    trees=[TreeNode.from_dict(t, len(cols)) for t in doc["trees"]],
-                    config=ForestConfig(**doc["config"]),
-                    feature_cols=cols,
-                    cutoff=None if cutoff is None else _real(cutoff, "cutoff"),
-                    calibration=doc.get("calibration"),
-                )
-            except (
-                ValueError, KeyError, TypeError, OverflowError, RecursionError
-            ) as exc:
-                raise DataError(f"{path}: not a forest file: {exc!r}") from None
+        with reading(path, "not a forest file"), open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+            cols = list(doc["feature_cols"])
+            if not all(_is_int(c) and c >= 0 for c in cols):
+                raise ValueError(f"feature_cols {cols!r} are not column indices")
+            if not doc["trees"]:
+                raise ValueError("no trees")
+            cutoff = doc["cutoff"]
+            return cls(
+                trees=[TreeNode.from_dict(t, len(cols)) for t in doc["trees"]],
+                config=ForestConfig(**doc["config"]),
+                feature_cols=cols,
+                cutoff=None if cutoff is None else _real(cutoff, "cutoff"),
+                calibration=doc.get("calibration"),
+            )
 
 
 def _weighted_gini_cost(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 from typing import Sequence
 
 from . import ents, forest as forest_mod, slamm
-from .errors import DataError
+from .errors import DataError, reading
 from .pool import SharedPool
 
 
@@ -49,7 +49,7 @@ class Verdict:
 
     @classmethod
     def from_json(cls, line: str) -> "Verdict":
-        try:
+        with reading(None, "bad verdict line"):
             d = json.loads(line)
             sv = None if d["slamm"] is None else slamm.SlammVerdict(**d["slamm"])
             typed = [(key, d[key], types) for key, types in _FIELD_TYPES.items()]
@@ -61,8 +61,6 @@ class Verdict:
             v = cls(slamm_verdict=sv, **{key: d[key] for key in _FIELD_TYPES})
             v._check_values()
             return v
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise DataError(f"bad verdict line: {exc!r}") from None
 
     def _check_values(self) -> None:
         """Raise ValueError unless the fields agree as :func:`itect_classify`

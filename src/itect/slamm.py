@@ -46,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 MAX_DENSE_ORDER = 3
 
@@ -511,7 +511,8 @@ class NgramModel:
         passes the blocks it reads. One pass gives each context's
         number of distinct continuations, which is its length, its
         total, from one ``np.add.reduceat`` per block, and the top
-        order's support size, total and sum of squared counts.
+        order's support size, total and sum of squared counts. A model
+        with no top-order count raises DataError.
         """
         totals, distinct, sumsq = [0] * self.n, [0] * self.n, 0.0
         ctx_total = [np.zeros(256 ** (k - 1), dtype=np.int64) for k in range(2, self.n + 1)]
@@ -535,6 +536,8 @@ class NgramModel:
                 seen = lens > 0
                 starts = (np.cumsum(lens, dtype=np.int64) - lens)[seen]
                 ctx_total[k - 2][ctx][seen] = np.add.reduceat(counts, starts, dtype=np.int64)
+        if totals[-1] == 0:
+            raise DataError("empty zoo: no top-order counts")
         self._total_tokens = totals[0]
         self._distinct_unigrams = distinct[0]
         self._top = (distinct[-1], totals[-1], sumsq)
@@ -630,20 +633,12 @@ class NgramModel:
         n: int = 3,
         smoothing: SmoothingParams | None = None,
         zoo_id: str = "",
-        diagnostics: list[str] | None = None,
     ) -> "NgramModel":
-        """Accumulate counts over a zoo; files shorter than n are skipped."""
+        """Accumulate counts over a zoo; skip files shorter than n (DataError if all are)."""
         model = cls(n=n, smoothing=smoothing or SmoothingParams(), zoo_id=zoo_id)
-        seen_any = False
-        for i, doc in enumerate(documents):
-            if len(doc) < n:
-                if diagnostics is not None:
-                    diagnostics.append(f"document {i} shorter than n={n}, skipped")
-                continue
-            model.add_document(doc)
-            seen_any = True
-        if not seen_any:
-            raise DataError("empty zoo: no document long enough to train on")
+        for doc in documents:
+            if len(doc) >= n:
+                model.add_document(doc)
         return model.finalize()
 
     # -- probabilities -----------------------------------------------
@@ -705,8 +700,6 @@ class NgramModel:
         """The zoo's :class:`ZooMasses`, from the tally made at finalize."""
         self._require_finalized()
         support, total, sumsq = self._top
-        if total == 0:
-            raise DataError("model has no top-order counts")
         return ZooMasses(support, total, sumsq / total**2)
 
     # -- serialization -----------------------------------------------
@@ -757,7 +750,7 @@ class NgramModel:
         loading makes no pass over the 256^n cells, nor allocates a
         table wider than the layout its counts give.
         """
-        with open(path, "rb") as fh:
+        with reading(path, "bad model file"), open(path, "rb") as fh:
             magic = fh.read(4)
             if magic != _MAGIC:
                 raise DataError(f"not a model file: bad magic {magic!r}")
@@ -771,14 +764,11 @@ class NgramModel:
                 )
             if not 1 <= n <= MAX_DENSE_ORDER:
                 raise DataError(f"model order {n} outside 1..{MAX_DENSE_ORDER}")
-            try:
+            with reading("header", "bad smoothing parameters"):
                 smoothing = SmoothingParams(discount=d, unseen_floor=eps)
-            except ValueError as exc:
-                raise DataError(f"bad smoothing parameters: {exc}") from None
-            try:
-                zoo_id = _read_exact(fh, zoo_len, "zoo id").decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError("zoo id is not UTF-8") from None
+            zoo = _read_exact(fh, zoo_len, "zoo id")
+            with reading("zoo id", "bad zoo id"):
+                zoo_id = zoo.decode("utf-8")
             model = cls(n=n, smoothing=smoothing, zoo_id=zoo_id)
             return model.finalize(_read_records(fh, model))
 

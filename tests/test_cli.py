@@ -4,14 +4,16 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from itect import cli, ents, pipeline, slamm
+from itect import cli, corpus, ents, pipeline, slamm
 from itect.corpus import CorpusManifest, ManifestEntry
 from itect.errors import DataError
+from itect.forest import TrainedForest
 from itect.pool import SharedPool
 
 
@@ -569,7 +571,7 @@ class TestPipelineCommands:
         cut.write_bytes(trained["models"]["benign"].read_bytes()[:-5])
         rc = self._classify(trained, tmp_path / "v.jsonl", good, benign=cut)
         assert rc == 2
-        assert "itect: data error: truncated model file" in capsys.readouterr().err
+        assert f"itect: data error: {cut}: truncated model file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("helpers", [0, 1])
     def test_zoos_load_on_the_pool_and_return_in_given_order(self, trained, helpers):
@@ -728,7 +730,7 @@ class TestPipelineCommands:
             timeout=120,
         )
         assert proc.returncode == 2
-        assert "itect: data error: unsupported model version 1;" in proc.stderr
+        assert f"itect: data error: {old}: unsupported model version 1;" in proc.stderr
         assert "retrain the zoo with slamm-train" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -952,18 +954,39 @@ _OLD_VERDICT_LINE = (
     b'"cmse": true, "cx": true, "diagnostics": {"z": {"cx": 1.0}}, "overall": false}, '
     b'"slamm_abstained": false, "timings": {"ents": 0.01, "slamm": 0.02}}\n'
 )
-# One well-formed file per loader.
+
+
+def _saved_zoo() -> bytes:
+    """The file of a small order-2 zoo."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "z.slmm")
+        slamm.NgramModel.train([b"abracadabra"], n=2, zoo_id="z").save(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# One well-formed file per loader; a sample is read as a hexdump by its suffix.
 _VALID = {
     "manifest": (_ENTRY.to_json() + "\n").encode(),
     "verdicts": _OLD_VERDICT_LINE,
     "features": b"digest,label,x0,x3\nd0,benign,0.5,1.0\nd1,malware,2.0,0.25\n",
     "ents-params": b'{"alpha": 3, "chunk_size": 256, "tau": 0.5}',
+    "forest": json.dumps({
+        "config": {}, "cutoff": 0.5, "feature_cols": [0, 3], "calibration": None,
+        "trees": [{"dim": 1, "threshold": 0.5, "left": {"malware_fraction": 0.0, "count": 2},
+                   "right": {"malware_fraction": 1.0, "count": 1}}],
+    }).encode(),
+    "zoo": _saved_zoo(),
+    "sample.bytes": b"00000000 4D 5A 90 00\n00000004 03 00\n",
 }
 _LOADERS = {
     "manifest": CorpusManifest.load,
     "verdicts": cli._read_verdicts,
     "features": ents.read_feature_csv,
     "ents-params": ents.EntsParams.load,
+    "forest": TrainedForest.load,
+    "zoo": slamm.NgramModel.load,
+    "sample.bytes": corpus.load_sample,
 }
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -1016,8 +1039,8 @@ class TestLoaderFuzz:
         path.write_bytes(content)
         try:
             _LOADERS[kind](path)
-        except DataError:
-            pass
+        except DataError as exc:
+            assert str(path) in str(exc)
 
     @pytest.mark.parametrize("kind", ["manifest", "verdicts", "ents-params"])
     def test_json_nested_past_recursion_limit_is_data_error(self, tmp_path, kind):
@@ -1025,6 +1048,124 @@ class TestLoaderFuzz:
         path.write_bytes(b"[" * 100_000)
         with pytest.raises(DataError):
             _LOADERS[kind](path)
+
+
+def _manifest_of(tmp_path, *samples):
+    """A manifest of benign training entries for ``samples``."""
+    path = tmp_path / "m.jsonl"
+    CorpusManifest(tuple(
+        ManifestEntry(path=str(p), label="benign", category="benign", split="train",
+                      size_bytes=p.stat().st_size, digest=f"{i:064x}")
+        for i, p in enumerate(samples)
+    )).save(path)
+    return path
+
+
+# Malformed contents of each kind of input file.
+_MALFORMED = {
+    "manifest": b'{"path": 1}\n',
+    "verdicts": b'{"digest": \n',
+    "features": b"digest,label,x0\nd0,benign,zz\n",
+    "ents-params": b'{"alpha": 3}',
+    "forest": b'{"trees": []}',
+    "sample.bytes": b"00000000 4D 5A\n00000002 4G\n",
+    "config": b'{"seed": }',
+}
+
+
+class TestErrorsNameTheFile:
+    """A malformed input file ends in one error line that names it."""
+
+    @pytest.mark.parametrize("kind", sorted([*_MALFORMED, "zoo"]))
+    def test_malformed_file_is_one_error_line_naming_it(
+        self, workspace, trained, tmp_path, kind
+    ):
+        bad = tmp_path / kind
+        if kind == "zoo":
+            bad.write_bytes(trained["models"]["benign"].read_bytes()[:-5])
+        else:
+            bad.write_bytes(_MALFORMED[kind])
+        files = {"forest": trained["forest"], "ents-params": trained["params"],
+                 "zoo": trained["models"]["benign"], kind: bad}
+        good = CorpusManifest.load(workspace["manifest"]).by_split("test")[0].path
+        mal = ",".join(
+            str(trained["models"][c]) for c in ("polymorphic", "metamorphic", "packed")
+        )
+        out = str(tmp_path / "out")
+        argv = {
+            "manifest": ["split", "--manifest", str(bad), "--seed", "1"],
+            "verdicts": ["eval", "--verdicts", str(bad), "--manifest",
+                         str(workspace["manifest"]), "--out", out],
+            "features": ["train", "--features", str(bad), "--seed", "0", "--out", out],
+            "sample.bytes": ["ents", "--manifest", str(_manifest_of(tmp_path, bad)),
+                             "--alpha", "4", "--out", out],
+            "config": ["--config", str(bad), "split", "--manifest", "m.jsonl"],
+        }.get(kind, ["classify", "--ents", str(files["forest"]),
+                     "--ents-params", str(files["ents-params"]), "--slamm", mal,
+                     "--benign", str(files["zoo"]), "--out", out, good])
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "itect.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == (1 if kind == "config" else 2)
+        errors = [line for line in proc.stderr.splitlines()
+                  if line.startswith("itect: ") and " error: " in line]
+        assert len(errors) == 1 and str(bad) in errors[0]
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command,name,content,message",
+        [
+            ("ents", "empty.bin", b"", "empty file"),
+            ("ents", "bad.bytes", b"00000000 4G\n", "line 1: malformed hex pair '4G'"),
+            ("baseline", "empty.bin", b"", "empty file"),
+            ("baseline", "bad.bytes", b"00000000 4G\n", "line 1: malformed hex pair '4G'"),
+            ("slamm-train", "bad.bytes", b"\xff\n", "not UTF-8 text"),
+        ],
+    )
+    def test_bad_sample_is_data_error_naming_it(
+        self, tmp_path, capsys, command, name, content, message
+    ):
+        sample = tmp_path / name
+        sample.write_bytes(content)
+        manifest = str(_manifest_of(tmp_path, sample))
+        out = str(tmp_path / "out")
+        argv = {
+            "ents": ["ents", "--manifest", manifest, "--alpha", "4", "--out", out],
+            "baseline": ["baseline", "cr", "--manifest", manifest, "--out", out],
+            "slamm-train": ["slamm-train", "--manifest", manifest, "--category", "benign",
+                            "--out", out],
+        }[command]
+        assert run(*argv) == 2
+        assert f"itect: data error: {sample}: {message}" in capsys.readouterr().err
+
+    def test_slamm_train_names_a_skipped_sample(self, tmp_path, capsys):
+        short, long = tmp_path / "short.bin", tmp_path / "long.bin"
+        short.write_bytes(b"MZ")
+        long.write_bytes(b"MZ\x90\x00" * 16)
+        rc = run("slamm-train", "--manifest", str(_manifest_of(tmp_path, short, long)),
+                 "--category", "benign", "--out", str(tmp_path / "z.slmm"))
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert f"diagnostic: {short}: shorter than n=3, skipped" in err
+        assert str(long) not in err
+
+    def test_classify_diagnostic_names_the_sample_once(self, trained, tmp_path, capsys):
+        missing, bad = tmp_path / "missing.bin", tmp_path / "bad.bytes"
+        bad.write_bytes(b"00000000 4G\n")
+        mal = ",".join(
+            str(trained["models"][c]) for c in ("polymorphic", "metamorphic", "packed")
+        )
+        rc = run("classify", "--ents", str(trained["forest"]),
+                 "--ents-params", str(trained["params"]), "--slamm", mal,
+                 "--benign", str(trained["models"]["benign"]),
+                 "--out", str(tmp_path / "v.jsonl"), str(missing), str(bad))
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"diagnostic: {missing}: No such file or directory",
+                       f"diagnostic: {bad}: line 1: malformed hex pair '4G'"]
 
 
 class TestVerdictChecks:

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -340,7 +341,7 @@ class TestLoadSampleHexdump:
     def test_not_utf8_is_a_data_error(self, tmp_path):
         path = tmp_path / "bad.bytes"
         path.write_bytes(b"00000000 4D\n\xff\xfe 5A\n")
-        with pytest.raises(DataError, match="hexdump is not UTF-8 text"):
+        with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
             corpus.load_sample(path)
 
 

@@ -308,3 +308,11 @@ class TestFeatureCSV:
         assert loaded.col_index == m.col_index
         assert loaded.labels == m.labels
         assert loaded.digests == m.digests
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, cell):
+        # Such a cell would train a forest on NaN or inf features.
+        path = tmp_path / "f.csv"
+        path.write_text(f"digest,label,x0,x1\nd0,benign,0.5,{cell}\nd1,malware,2.0,0.25\n")
+        with pytest.raises(DataError, match=f"{path}: bad feature CSV: .*not a finite number"):
+            ents.read_feature_csv(path)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -236,6 +237,10 @@ class TestSerialization:
             pytest.param(lambda doc: _first_split(doc).update(threshold=None), id="threshold-null"),
             pytest.param(lambda doc: _first_split(doc).update(threshold=10**400), id="threshold-huge"),
             pytest.param(lambda doc: _first_leaf(doc).update(malware_fraction=[1]), id="fraction-list"),
+            pytest.param(lambda doc: doc.update(cutoff=math.nan), id="cutoff-nan"),
+            pytest.param(lambda doc: doc.update(cutoff=math.inf), id="cutoff-inf"),
+            pytest.param(lambda doc: _first_split(doc).update(threshold=-math.inf), id="threshold-minus-inf"),
+            pytest.param(lambda doc: _first_leaf(doc).update(malware_fraction=math.nan), id="fraction-nan"),
         ],
     )
     def test_forest_that_cannot_score_is_data_error(self, tmp_path, edit):

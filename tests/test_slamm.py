@@ -210,12 +210,9 @@ class TestNgramModelTraining:
         assert model.total_tokens == 6
 
     def test_short_documents_skipped(self):
-        diags = []
-        model = slamm.NgramModel.train(
-            [b"ab", b"abcabc"], n=3, diagnostics=diags
-        )
-        assert len(diags) == 1
+        model = slamm.NgramModel.train([b"ab", b"abcabc"], n=3)
         assert count_of(model.tables[2], b"abc") == 2
+        assert model.total_tokens == 6
 
     def test_empty_zoo(self):
         with pytest.raises(DataError, match="empty zoo"):
@@ -865,6 +862,11 @@ class TestSerialization:
                 lambda b: b + b"GARBAGE",
                 "trailing bytes after the order-2 records",
                 id="trailing-bytes",
+            ),
+            pytest.param(
+                lambda b: _rewrite(_rewrite(b, 1, [], 1), 2, [], 1),
+                "empty zoo: no top-order counts",
+                id="no-records",
             ),
         ],
     )
